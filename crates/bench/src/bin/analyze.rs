@@ -36,6 +36,8 @@ use ompx_hecbench::summaries::{replay_events, summary_for, version_str};
 use ompx_hecbench::{ProgVersion, System, APP_NAMES};
 use ompx_sanitizer::report::{exit_code, record_findings_metrics, render_json, render_text};
 use ompx_sanitizer::Finding;
+use ompx_sim::context::RunContext;
+use ompx_telemetry::{json_escape, MetricRegistry};
 
 fn usage() -> ! {
     eprintln!(
@@ -149,18 +151,6 @@ fn parse(args: &[String]) -> Opts {
     o
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|ch| match ch {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Splice extra top-level fields (a pre-rendered `"key": value,` block)
 /// into the unified findings document.
 fn with_fields(findings: &[Finding], extra: &str) -> String {
@@ -181,11 +171,10 @@ fn write_out(o: &Opts, doc: &str) -> i32 {
     0
 }
 
-/// Write the ambient metrics snapshot (if `--metrics-out` installed one)
-/// as Prometheus text. Call before every exit path.
-fn flush_metrics(o: &Opts) -> i32 {
-    let Some(path) = &o.metrics_out else { return 0 };
-    let Some(reg) = ompx_telemetry::uninstall() else { return 0 };
+/// Write the run's metrics snapshot (if `--metrics-out` asked for one) as
+/// Prometheus text.
+fn flush_metrics(o: &Opts, reg: Option<&MetricRegistry>) -> i32 {
+    let (Some(path), Some(reg)) = (&o.metrics_out, reg) else { return 0 };
     let text = ompx_telemetry::to_prometheus(&reg.snapshot());
     if let Err(e) = std::fs::write(path, text) {
         eprintln!("analyze: cannot write {path}: {e}");
@@ -194,8 +183,16 @@ fn flush_metrics(o: &Opts) -> i32 {
     0
 }
 
-fn emit(findings: &[Finding], header: &str, extra_json: &str, o: &Opts) -> i32 {
-    record_findings_metrics(findings);
+fn emit(
+    findings: &[Finding],
+    header: &str,
+    extra_json: &str,
+    o: &Opts,
+    reg: Option<&MetricRegistry>,
+) -> i32 {
+    if let Some(reg) = reg {
+        record_findings_metrics(reg, findings);
+    }
     let doc = with_fields(findings, extra_json);
     if o.json {
         print!("{doc}");
@@ -220,7 +217,7 @@ fn grids_field(grids: &[String]) -> String {
     }
 }
 
-fn run_extract(o: &Opts) -> i32 {
+fn run_extract(o: &Opts, reg: Option<&MetricRegistry>) -> i32 {
     let mut exit = 0;
     for app in &o.apps {
         for version in &o.versions {
@@ -240,7 +237,9 @@ fn run_extract(o: &Opts) -> i32 {
             for (_, fs) in &report.validation {
                 findings.extend(fs.iter().cloned());
             }
-            record_findings_metrics(&findings);
+            if let Some(reg) = reg {
+                record_findings_metrics(reg, &findings);
+            }
 
             if o.json {
                 let mut extra = String::new();
@@ -332,22 +331,28 @@ fn run_extract(o: &Opts) -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let o = parse(&args);
-    if o.metrics_out.is_some() {
-        let reg = ompx_telemetry::MetricRegistry::new();
+    // With --metrics-out, every device the run builds counts into one
+    // registry, alongside the report-time `findings_total` rollup.
+    let registry = o.metrics_out.as_ref().map(|_| {
+        let reg = MetricRegistry::new();
         ompx_telemetry::describe_base_families(&reg);
-        ompx_telemetry::install(reg);
-    }
+        reg
+    });
+    let ctx = RunContext { metrics: registry.clone(), ..Default::default() };
+    let code = ctx.scope(|| run(&o, registry.as_deref()));
+    std::process::exit(flush_metrics(&o, registry.as_deref()).max(code));
+}
+
+fn run(o: &Opts, reg: Option<&MetricRegistry>) -> i32 {
     if o.extract {
-        let code = run_extract(&o);
-        std::process::exit(flush_metrics(&o).max(code));
+        return run_extract(o, reg);
     }
     let warp = warp_size_for(o.system.label());
 
     if let Some(name) = &o.fixture {
         let fx = fixtures::by_name(name).unwrap();
         let findings = fx.run();
-        let code = emit(&findings, &format!("fixture {name} [{}]", fx.tool), "", &o);
-        std::process::exit(flush_metrics(&o).max(code));
+        return emit(&findings, &format!("fixture {name} [{}]", fx.tool), "", o, reg);
     }
 
     let mut exit = 0;
@@ -385,8 +390,8 @@ fn main() {
                 if o.replay { " (+replay)" } else { "" }
             );
             let extra = if o.replay { grids_field(&grids) } else { String::new() };
-            exit = exit.max(emit(&findings, &header, &extra, &o));
+            exit = exit.max(emit(&findings, &header, &extra, o, reg));
         }
     }
-    std::process::exit(flush_metrics(&o).max(exit));
+    exit
 }

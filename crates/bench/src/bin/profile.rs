@@ -10,8 +10,8 @@
 //! profile --bench-out results/BENCH_prof.json
 //! ```
 //!
-//! Each cell (app, program version, system) runs under an ambient span
-//! log; alongside the app itself the stream-overlap probe executes the
+//! Each cell (app, program version, system) runs inside a span-log run
+//! context (`with_span_log`); alongside the app itself the stream-overlap probe executes the
 //! §3.5 `depend(interopobj:)` idiom, so every exported Chrome trace has
 //! the host track, the hidden-helper-thread track when `nowait` target
 //! tasks ran, and two genuine stream tracks with flow arrows. Metrics are

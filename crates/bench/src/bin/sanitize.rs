@@ -20,6 +20,8 @@
 use ompx_hecbench::{run_app_sanitized, ProgVersion, System, WorkScale, APP_NAMES};
 use ompx_sanitizer::report::record_findings_metrics;
 use ompx_sanitizer::{fixtures, Report, Tool};
+use ompx_sim::context::RunContext;
+use ompx_telemetry::MetricRegistry;
 
 fn usage() -> ! {
     eprintln!(
@@ -152,36 +154,18 @@ fn emit(report: &Report, header: &str, o: &Opts) -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let o = parse(&args);
-    let mask = o.tool.mask();
 
-    // With --metrics-out, install a session registry so detection-time
-    // counters (`sanitizer_findings_total`) land alongside the
-    // report-time `findings_total` rollup.
+    // With --metrics-out, every device the run builds counts into one
+    // registry, so detection-time counters (`sanitizer_findings_total`)
+    // land alongside the report-time `findings_total` rollup.
     let registry = o.metrics_out.as_ref().map(|_| {
-        let reg = ompx_telemetry::MetricRegistry::new();
+        let reg = MetricRegistry::new();
         ompx_telemetry::describe_base_families(&reg);
-        ompx_telemetry::install(std::sync::Arc::clone(&reg));
         reg
     });
-
-    let mut exit = 0;
-    if let Some(fixture) = &o.fixture {
-        let (run, _kind) = fixtures::by_name(fixture).unwrap();
-        let report = run();
-        record_findings_metrics(&report.findings());
-        exit = exit.max(emit(&report, &format!("fixture {fixture} [{}]", o.tool), &o));
-    }
-    if let Some(app) = &o.app {
-        for version in &o.versions {
-            let (outcome, findings) = run_app_sanitized(app, o.system, *version, o.scale, mask);
-            let report = Report::from_findings(mask, findings);
-            record_findings_metrics(&report.findings());
-            let header = format!("{app} / {} / {} [{}]", o.system.label(), outcome.label, o.tool);
-            exit = exit.max(emit(&report, &header, &o));
-        }
-    }
+    let ctx = RunContext { metrics: registry.clone(), ..Default::default() };
+    let exit = ctx.scope(|| run(&o, registry.as_deref()));
     if let (Some(path), Some(reg)) = (&o.metrics_out, registry) {
-        ompx_telemetry::uninstall();
         let text = ompx_telemetry::to_prometheus(&reg.snapshot());
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("sanitize: cannot write {path}: {e}");
@@ -190,4 +174,29 @@ fn main() {
         eprintln!("sanitize: Prometheus metrics written to {path}");
     }
     std::process::exit(exit);
+}
+
+fn run(o: &Opts, reg: Option<&MetricRegistry>) -> i32 {
+    let mask = o.tool.mask();
+    let mut exit = 0;
+    if let Some(fixture) = &o.fixture {
+        let (run, _kind) = fixtures::by_name(fixture).unwrap();
+        let report = run();
+        if let Some(reg) = reg {
+            record_findings_metrics(reg, &report.findings());
+        }
+        exit = exit.max(emit(&report, &format!("fixture {fixture} [{}]", o.tool), o));
+    }
+    if let Some(app) = &o.app {
+        for version in &o.versions {
+            let (outcome, findings) = run_app_sanitized(app, o.system, *version, o.scale, mask);
+            let report = Report::from_findings(mask, findings);
+            if let Some(reg) = reg {
+                record_findings_metrics(reg, &report.findings());
+            }
+            let header = format!("{app} / {} / {} [{}]", o.system.label(), outcome.label, o.tool);
+            exit = exit.max(emit(&report, &header, o));
+        }
+    }
+    exit
 }

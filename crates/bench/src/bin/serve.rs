@@ -301,16 +301,13 @@ fn main() {
         write_file(path, &to_chrome_trace(&out.spans));
         eprintln!("serve: timeline trace written to {path} ({} spans)", out.spans.len());
     }
-    if o.metrics_out.is_some() || o.metrics_json.is_some() {
-        let snap = out.metrics.as_ref().expect("serve sessions install a metric registry");
-        if let Some(path) = &o.metrics_out {
-            write_file(path, &to_prometheus(snap));
-            eprintln!("serve: Prometheus metrics written to {path}");
-        }
-        if let Some(path) = &o.metrics_json {
-            write_file(path, &metrics_json(snap));
-            eprintln!("serve: JSON metrics written to {path}");
-        }
+    if let Some(path) = &o.metrics_out {
+        write_file(path, &to_prometheus(&out.metrics));
+        eprintln!("serve: Prometheus metrics written to {path}");
+    }
+    if let Some(path) = &o.metrics_json {
+        write_file(path, &metrics_json(&out.metrics));
+        eprintln!("serve: JSON metrics written to {path}");
     }
     if let Some(path) = &o.baseline {
         match std::fs::read_to_string(path) {

@@ -6,10 +6,9 @@
 //!   [`run_fig8`] / [`print_fig8`], which also compares each bar against
 //!   the value read off the paper's plots ([`paper_reference_seconds`]).
 //!
-//! The Criterion benches under `benches/` measure the wall time of the
-//! *simulator* for each program version (useful for tracking the
-//! reproduction itself); the paper-facing numbers are the modeled times
-//! printed by the `figures` binary and recorded in EXPERIMENTS.md.
+//! The host wall-clock cost of the simulator itself is measured by
+//! `perfbench/` (see its README); the paper-facing numbers are the modeled
+//! times printed by the `figures` binary and recorded in EXPERIMENTS.md.
 
 use ompx_hecbench::{run_app, ProgVersion, RunOutcome, System, WorkScale, APP_NAMES};
 

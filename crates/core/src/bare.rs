@@ -161,7 +161,7 @@ impl PreparedBare {
         let r = self.try_execute_silent()?;
         // One kernel bar on the profiler's host track (synchronous target
         // semantics occupy the submitting thread for the modeled time).
-        if let Some(log) = ompx_sim::span::active() {
+        if let Some(log) = self.omp.device().span_log() {
             log.host_op(&self.name, ompx_sim::span::SpanCategory::Kernel, r.modeled.seconds, 0);
         }
         Ok(r)
@@ -208,9 +208,7 @@ impl PreparedBare {
         cause: &ompx_sim::error::SimError,
     ) -> Result<TargetResult, OmpxError> {
         let device = self.omp.device();
-        if let Some(f) = device.faults() {
-            f.note_fallback(&self.name);
-        }
+        device.note_fallback(&self.name);
         // A watchdog timeout committed a partial block prefix; restore the
         // pre-launch checkpoint so the host re-dispatch computes from clean
         // state. No-op for side-effect-free faults.
@@ -218,7 +216,7 @@ impl PreparedBare {
         let stats =
             device.launch_unchecked(&self.kernel, self.cfg.clone()).map_err(OmpxError::Device)?;
         let seconds = host_model_seconds(&stats);
-        if let Some(log) = ompx_sim::span::active() {
+        if let Some(log) = self.omp.device().span_log() {
             // Emitted after the re-dispatch so the fallback bar spans its
             // modeled host duration instead of rendering zero-width.
             log.host_op(

@@ -21,14 +21,14 @@ use ompx_hostrt::{OmpxError, OpenMp};
 use ompx_sim::error::{SimError, SimResult};
 use ompx_sim::fault::{run_with_retry, RetryPolicy};
 use ompx_sim::mem::{DBuf, DeviceScalar};
-use ompx_sim::span::{self, SpanCategory};
+use ompx_sim::span::SpanCategory;
 
-/// Record a host-API call on the profiler's host track, if a span log is
-/// installed. Transfers get their modeled PCIe duration so the timeline
+/// Record a host-API call on the profiler's host track, if the device has
+/// a span log. Transfers get their modeled PCIe duration so the timeline
 /// shows H2D/D2H bars whose width is the transfer time and whose args
 /// carry the byte count.
 fn host_span(omp: &OpenMp, name: &str, cat: SpanCategory, bytes: usize) {
-    if let Some(log) = span::active() {
+    if let Some(log) = omp.device().span_log() {
         let dur = match cat {
             SpanCategory::MemcpyH2D | SpanCategory::MemcpyD2H | SpanCategory::MemcpyD2D => {
                 omp.device().profile().transfer_seconds(bytes)
@@ -65,9 +65,7 @@ fn retried<T>(omp: &OpenMp, op: &str, f: impl FnMut() -> SimResult<T>) -> Result
 fn degrade_or_panic(omp: &OpenMp, op: &str, e: OmpxError) {
     let e = e.into_sim();
     if e.is_injected() {
-        if let Some(f) = omp.device().faults() {
-            f.note_degraded(&format!("{op}: {e}"));
-        }
+        omp.device().note_degraded(&format!("{op}: {e}"));
     } else {
         panic!("{op}: {e}");
     }

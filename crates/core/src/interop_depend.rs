@@ -20,7 +20,7 @@
 
 use crate::bare::PreparedBare;
 use ompx_hostrt::InteropObj;
-use ompx_sim::span::{self, SpanCategory};
+use ompx_sim::span::SpanCategory;
 use ompx_sim::stream::Event;
 
 /// `#pragma omp target teams ompx_bare nowait depend(interopobj: obj)`:
@@ -28,13 +28,13 @@ use ompx_sim::stream::Event;
 /// event completing when the kernel has executed (useful for tests; the
 /// paper's idiom is [`taskwait_interopobj`]).
 ///
-/// When a profiler span log is installed, the submission is recorded on
+/// When the stream's device has a profiler span log, the submission is recorded on
 /// the host track with a flow arrow to the kernel's span on the stream's
 /// track — the `nowait` dependence made visible.
 pub fn launch_nowait_interopobj(prepared: &PreparedBare, obj: &InteropObj) -> Event {
     let p = prepared.clone();
     let stream = obj.stream().clone();
-    let flow = span::active().map(|log| {
+    let flow = stream.device().span_log().map(|log| {
         log.host_op_flow(
             &format!("nowait depend(interopobj) {}", prepared.name()),
             SpanCategory::Task,
@@ -54,7 +54,7 @@ pub fn launch_nowait_interopobj(prepared: &PreparedBare, obj: &InteropObj) -> Ev
 /// object's stream.
 pub fn taskwait_interopobj(obj: &InteropObj) {
     obj.synchronize();
-    if let Some(log) = span::active() {
+    if let Some(log) = obj.stream().device().span_log() {
         log.host_op("taskwait depend(interopobj)", SpanCategory::Sync, 0.0, 0);
     }
 }

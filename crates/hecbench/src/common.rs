@@ -4,14 +4,17 @@ use ompx_hostrt::OpenMp;
 use ompx_klang::cuda::{cuda_context_clang, cuda_context_nvcc};
 use ompx_klang::hip::{hip_context_clang, hip_context_hipcc};
 use ompx_klang::runtime::NativeCtx;
+use ompx_sim::context::{IdSpace, RunContext};
+use ompx_sim::fault::{FaultPlan, FaultSnapshot, FaultState};
 use ompx_sim::memtrace::{BarrierEvent, MemEvent, MemTrace};
 use ompx_sim::san::{Diagnostic, SanState, ToolMask};
+use ompx_sim::span::{Span, SpanCategory, SpanLog};
 use ompx_sim::timing::ModeledTime;
-use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, MutexGuard};
+use ompx_telemetry::MetricRegistry;
+use std::sync::Arc;
 
 /// The two evaluation systems of the paper's Figure 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum System {
     /// NVIDIA A100 (40 GB), CUDA 11.8.
     Nvidia,
@@ -30,7 +33,7 @@ impl System {
 }
 
 /// The four program versions compared per system (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgVersion {
     /// OpenMP kernel language, compiled with the prototype ("ompx").
     Ompx,
@@ -74,7 +77,7 @@ pub enum WorkScale {
 }
 
 /// Benchmark metadata — one row of the paper's Figure 6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchInfo {
     pub name: &'static str,
     pub description: &'static str,
@@ -85,7 +88,7 @@ pub struct BenchInfo {
 }
 
 /// The outcome of running one program version of one app on one system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Bar label ("ompx", "cuda-nvcc", …).
     pub label: String,
@@ -111,88 +114,37 @@ pub struct RunOutcome {
 /// Native context for (system, vendor-compiler?) — the `cuda`/`hip` and
 /// `cuda-nvcc`/`hip-hipcc` bars.
 pub fn native_ctx(sys: System, vendor_cc: bool) -> NativeCtx {
-    let ctx = match (sys, vendor_cc) {
+    match (sys, vendor_cc) {
         (System::Nvidia, false) => cuda_context_clang(),
         (System::Nvidia, true) => cuda_context_nvcc(),
         (System::Amd, false) => hip_context_clang(),
         (System::Amd, true) => hip_context_hipcc(),
-    };
-    if let Some(state) = active_sanitizer() {
-        ctx.sanitizer_attach(state);
     }
-    if let Some(trace) = active_mem_trace() {
-        ctx.device().attach_mem_trace(trace);
-    }
-    if let Some(faults) = active_faults() {
-        ctx.device().attach_faults(faults);
-        install_write_set_hints(ctx.device());
-    }
-    ctx
 }
 
 /// Traditional OpenMP runtime for a system (ClangOpenmp + the paper's
 /// observed LLVM quirks).
 pub fn omp_runtime(sys: System) -> OpenMp {
-    let omp = match sys {
+    match sys {
         System::Nvidia => OpenMp::nvidia_system(),
         System::Amd => OpenMp::amd_system(),
-    };
-    if let Some(state) = active_sanitizer() {
-        ompx_hostrt::ompx_sanitizer_attach(&omp, &state);
     }
-    if let Some(trace) = active_mem_trace() {
-        omp.device().attach_mem_trace(trace);
-    }
-    if let Some(faults) = active_faults() {
-        omp.device().attach_faults(faults);
-        install_write_set_hints(omp.device());
-    }
-    omp
 }
 
 /// Prototype (`ompx`) runtime for a system.
 pub fn ompx_runtime(sys: System) -> OpenMp {
-    let omp = match sys {
+    match sys {
         System::Nvidia => ompx::runtime_nvidia(),
         System::Amd => ompx::runtime_amd(),
-    };
-    if let Some(state) = active_sanitizer() {
-        ompx_hostrt::ompx_sanitizer_attach(&omp, &state);
-    }
-    if let Some(trace) = active_mem_trace() {
-        omp.device().attach_mem_trace(trace);
-    }
-    if let Some(faults) = active_faults() {
-        omp.device().attach_faults(faults);
-        install_write_set_hints(omp.device());
-    }
-    omp
-}
-
-// ---- sanitizer integration ------------------------------------------------
-
-/// The sanitizer session installed by [`run_app_sanitized`], if one is
-/// active. Apps build their contexts *inside* `run`, so the session rides
-/// along ambiently: the constructors above attach it to every device they
-/// hand out.
-static ACTIVE_SANITIZER: Mutex<Option<Arc<SanState>>> = Mutex::new(None);
-
-/// Serialises sanitized runs so parallel tests cannot leak findings into
-/// each other's reports through the ambient session.
-static SANITIZED_RUN_GATE: Mutex<()> = Mutex::new(());
-
-fn active_sanitizer() -> Option<Arc<SanState>> {
-    ACTIVE_SANITIZER.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Clears the ambient session even if the benchmark panics.
-struct SanitizerInstall(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for SanitizerInstall {
-    fn drop(&mut self) {
-        *ACTIVE_SANITIZER.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 }
+
+// ---- tooled runs -----------------------------------------------------------
+//
+// Each harness below runs its closure inside a `RunContext` scope, so the
+// devices the benchmark builds inside `run` report into the harness's
+// sinks. Scopes nest (an inner one inherits what it does not set) and are
+// per thread, so tooled runs compose and run side by side in one process.
 
 /// Run one (app, system, version) cell under a fresh sanitizer session with
 /// the tools in `mask`, returning the benchmark outcome plus everything the
@@ -204,38 +156,15 @@ pub fn run_app_sanitized(
     scale: WorkScale,
     mask: ToolMask,
 ) -> (RunOutcome, Vec<Diagnostic>) {
-    let gate = SANITIZED_RUN_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let state = SanState::new(mask);
-    *ACTIVE_SANITIZER.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&state));
-    let _uninstall = SanitizerInstall(gate);
-    let outcome = crate::run_app(app, sys, version, scale);
+    let ctx = RunContext { sanitizer: Some(Arc::clone(&state)), ..Default::default() };
+    let outcome = ctx.scope(|| crate::run_app(app, sys, version, scale));
     (outcome, state.diagnostics())
 }
 
-// ---- memory-trace integration (analyzer replay) ----------------------------
-
-/// The memory trace installed by [`with_mem_trace`], if one is active.
-/// Rides along ambiently exactly like the sanitizer session: the context
-/// constructors attach it to every device they hand out.
-static ACTIVE_MEM_TRACE: Mutex<Option<Arc<MemTrace>>> = Mutex::new(None);
-
-fn active_mem_trace() -> Option<Arc<MemTrace>> {
-    ACTIVE_MEM_TRACE.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Clears the ambient trace even if the benchmark panics.
-struct TraceInstall(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for TraceInstall {
-    fn drop(&mut self) {
-        *ACTIVE_MEM_TRACE.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
-/// Run a benchmark closure with a fresh ambient memory trace installed,
-/// returning its result plus every recorded access event. Shares the
-/// sanitized-run gate so traced and sanitized runs cannot cross-pollute
-/// through the ambient statics. This is the analyzer's replay data plane.
+/// Run a benchmark closure with a fresh memory trace in its run context,
+/// returning its result plus every recorded access event. This is the
+/// analyzer's replay data plane.
 pub fn with_mem_trace<R>(f: impl FnOnce() -> R) -> (R, Vec<MemEvent>) {
     let (result, events, _) = with_mem_trace_full(f);
     (result, events)
@@ -245,69 +174,20 @@ pub fn with_mem_trace<R>(f: impl FnOnce() -> R) -> (R, Vec<MemEvent>) {
 /// Summary extraction needs both streams: accesses to fit index
 /// expressions, barriers to delimit and order phases.
 pub fn with_mem_trace_full<R>(f: impl FnOnce() -> R) -> (R, Vec<MemEvent>, Vec<BarrierEvent>) {
-    let gate = SANITIZED_RUN_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let trace = MemTrace::new();
-    *ACTIVE_MEM_TRACE.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&trace));
-    let _uninstall = TraceInstall(gate);
-    let result = f();
+    let ctx = RunContext { mem_trace: Some(Arc::clone(&trace)), ..Default::default() };
+    let result = ctx.scope(f);
     (result, trace.events(), trace.barrier_events())
 }
 
-// ---- span-log integration (profiler timelines) -----------------------------
-
-/// Run a benchmark closure with a fresh ambient profiler [`SpanLog`]
-/// installed, returning its result plus every recorded timeline span.
-/// Shares the sanitized-run gate so profiled, traced and sanitized runs
-/// cannot cross-pollute through the process-wide statics. This is
-/// `ompx-prof`'s timeline data plane.
-///
-/// [`SpanLog`]: ompx_sim::span::SpanLog
-pub fn with_span_log<R>(f: impl FnOnce() -> R) -> (R, Vec<ompx_sim::span::Span>) {
-    let _gate = SANITIZED_RUN_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let log = ompx_sim::span::SpanLog::new();
-    ompx_sim::span::SpanLog::install(Arc::clone(&log));
-    /// Uninstalls the ambient log even if the benchmark panics.
-    struct SpanInstall;
-    impl Drop for SpanInstall {
-        fn drop(&mut self) {
-            ompx_sim::span::SpanLog::uninstall();
-        }
-    }
-    let _uninstall = SpanInstall;
-    let result = f();
+/// Run a benchmark closure with a fresh profiler [`SpanLog`] in its run
+/// context, returning its result plus every recorded timeline span. This
+/// is `ompx-prof`'s timeline data plane.
+pub fn with_span_log<R>(f: impl FnOnce() -> R) -> (R, Vec<Span>) {
+    let log = SpanLog::new();
+    let ctx = RunContext { span_log: Some(Arc::clone(&log)), ..Default::default() };
+    let result = ctx.scope(f);
     (result, log.spans())
-}
-
-// ---- fault-injection integration (chaos harness) ----------------------------
-
-/// The fault state installed by [`run_app_chaos`], if one is active. Rides
-/// along ambiently exactly like the sanitizer session: the context
-/// constructors attach it to every device they hand out.
-static ACTIVE_FAULTS: Mutex<Option<Arc<ompx_sim::fault::FaultState>>> = Mutex::new(None);
-
-fn active_faults() -> Option<Arc<ompx_sim::fault::FaultState>> {
-    ACTIVE_FAULTS.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Kernel write-set hints installed by [`run_app_chaos`]: `(kernel name,
-/// written global-buffer labels)` pairs from the cell's analyzer summary.
-/// The constructors above copy them onto every device they hand out, so a
-/// watchdog checkpoint snapshots only the buffers the killed kernel could
-/// have dirtied. Kernels without a hint (e.g. `adam`'s native convergence
-/// kernel, which the 24-cell registry does not summarize) fall back to a
-/// whole-buffer snapshot inside the simulator.
-static ACTIVE_WRITE_SETS: Mutex<Option<Arc<WriteSets>>> = Mutex::new(None);
-
-/// `(kernel name, written global-buffer labels)` hint pairs.
-type WriteSets = Vec<(String, Vec<String>)>;
-
-fn install_write_set_hints(device: &ompx_sim::device::Device) {
-    let hints = ACTIVE_WRITE_SETS.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    if let Some(hints) = hints {
-        for (kernel, labels) in hints.iter() {
-            device.set_kernel_write_set(kernel, labels);
-        }
-    }
 }
 
 /// What fault injection did to one chaos run, alongside the outcome.
@@ -315,95 +195,85 @@ fn install_write_set_hints(device: &ompx_sim::device::Device) {
 pub struct FaultReport {
     /// Everything the fault state recorded: injections, recoveries,
     /// fallbacks, degradations, sticky errors, device loss.
-    pub snapshot: ompx_sim::fault::FaultSnapshot,
+    pub snapshot: FaultSnapshot,
     /// Retry spans on the profiler timeline (retries + recoveries).
     pub retry_spans: usize,
     /// Fallback spans on the profiler timeline.
     pub fallback_spans: usize,
 }
 
-/// A held chaos-run scope: the sanitized-run gate acquired once, one
-/// ambient [`SpanLog`] installed for the whole scope, and per-cell swapping
-/// of the ambient fault state + write-set hints.
+/// A chaos-run session: one [`SpanLog`], one metric registry (with the
+/// base families pre-declared) and one id space shared by every cell the
+/// session runs, with a per-cell fault state and write-set hints.
 ///
 /// [`run_app_chaos`] uses one session per cell; `ompx-serve` holds a single
 /// session across thousands of requests so each pool member's persistent
-/// [`FaultState`] (with its sticky device-loss flag) can be attached for
+/// [`FaultState`] (with its sticky device-loss flag) is attached for
 /// exactly the requests routed to it, while every request's spans land on
-/// one timeline. The gate is **not** reentrant: constructing a second
-/// session on the same thread (or inside `run_app_sanitized` /
-/// `with_mem_trace` / `with_span_log`) deadlocks.
-///
-/// [`SpanLog`]: ompx_sim::span::SpanLog
-/// [`FaultState`]: ompx_sim::fault::FaultState
+/// one timeline. Sessions are plain values: any number may be live at
+/// once, on one thread or many, inside or around the other tooled runs.
 pub struct ChaosSession {
-    _gate: MutexGuard<'static, ()>,
-    log: Arc<ompx_sim::span::SpanLog>,
-    metrics: Arc<ompx_telemetry::MetricRegistry>,
+    log: Arc<SpanLog>,
+    metrics: Arc<MetricRegistry>,
+    ids: Arc<IdSpace>,
 }
 
 impl ChaosSession {
-    /// Acquire the gate and install a fresh ambient span log and metric
-    /// registry (with the base families pre-declared), so every chaos and
-    /// serve run is metered without further wiring.
+    /// A fresh span log and metric registry, so every chaos and serve run
+    /// is metered without further wiring.
     pub fn begin() -> ChaosSession {
-        let gate = SANITIZED_RUN_GATE.lock().unwrap_or_else(|e| e.into_inner());
-        let log = ompx_sim::span::SpanLog::new();
-        ompx_sim::span::SpanLog::install(Arc::clone(&log));
-        let metrics = ompx_telemetry::MetricRegistry::new();
+        let metrics = MetricRegistry::new();
         ompx_telemetry::describe_base_families(&metrics);
-        ompx_telemetry::install(Arc::clone(&metrics));
-        ChaosSession { _gate: gate, log, metrics }
+        ChaosSession { log: SpanLog::new(), metrics, ids: Arc::default() }
     }
 
-    /// The session's metric registry (shared with the ambient install).
-    pub fn metrics(&self) -> Arc<ompx_telemetry::MetricRegistry> {
+    /// The session's metric registry.
+    pub fn metrics(&self) -> Arc<MetricRegistry> {
         Arc::clone(&self.metrics)
     }
 
-    /// The session's span log (shared with the ambient install), e.g. for
-    /// recording per-device pool timeline spans alongside the run spans.
-    pub fn span_log(&self) -> Arc<ompx_sim::span::SpanLog> {
+    /// The session's span log, e.g. for recording per-device pool timeline
+    /// spans alongside the run spans.
+    pub fn span_log(&self) -> Arc<SpanLog> {
         Arc::clone(&self.log)
     }
 
     /// Everything recorded on the session timeline so far.
-    pub fn spans(&self) -> Vec<ompx_sim::span::Span> {
+    pub fn spans(&self) -> Vec<Span> {
         self.log.spans()
     }
 
-    /// Run one (app, system, version) cell with `faults` attached
-    /// ambiently (plus the cell's analyzer write-set hints), catching
-    /// panics so callers can assert the chaos trichotomy. With
-    /// `faults: None` the cell runs fault-free (e.g. to establish expected
-    /// checksums). The fault state is the *caller's*: sticky errors and
-    /// the device-loss flag persist across calls that reuse it, which is
-    /// how a serving pool models a lost member.
+    /// Run one (app, system, version) cell with `faults` in its run
+    /// context (plus the cell's analyzer write-set hints, which let a
+    /// watchdog checkpoint snapshot only the buffers the killed kernel
+    /// could have dirtied), catching panics so callers can assert the
+    /// chaos trichotomy. With `faults: None` the cell runs fault-free
+    /// (e.g. to establish expected checksums). The fault state is the
+    /// *caller's*: sticky errors and the device-loss flag persist across
+    /// calls that reuse it, which is how a serving pool models a lost
+    /// member.
     pub fn run_cell(
         &self,
         app: &str,
         sys: System,
         version: ProgVersion,
         scale: WorkScale,
-        faults: Option<&Arc<ompx_sim::fault::FaultState>>,
+        faults: Option<&Arc<FaultState>>,
     ) -> Result<RunOutcome, String> {
-        *ACTIVE_FAULTS.lock().unwrap_or_else(|e| e.into_inner()) = faults.map(Arc::clone);
-        let write_sets: Vec<_> = crate::summaries::write_set(app, version).into_iter().collect();
-        *ACTIVE_WRITE_SETS.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(write_sets));
-        /// Clears the per-cell ambient state even if the cell panics in a
-        /// way `catch_unwind` cannot contain (e.g. panic-in-drop aborts
-        /// excluded, a resumed unwind still runs this).
-        struct CellInstall;
-        impl Drop for CellInstall {
-            fn drop(&mut self) {
-                *ACTIVE_FAULTS.lock().unwrap_or_else(|e| e.into_inner()) = None;
-                *ACTIVE_WRITE_SETS.lock().unwrap_or_else(|e| e.into_inner()) = None;
-            }
-        }
-        let _uninstall = CellInstall;
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::run_app(app, sys, version, scale)
-        }))
+        let write_sets = crate::summaries::write_set(app, version).into_iter().collect();
+        let ctx = RunContext {
+            faults: faults.map(Arc::clone),
+            write_sets: Some(Arc::new(write_sets)),
+            span_log: Some(Arc::clone(&self.log)),
+            metrics: Some(Arc::clone(&self.metrics)),
+            ids: Some(Arc::clone(&self.ids)),
+            ..Default::default()
+        };
+        ctx.scope(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                crate::run_app(app, sys, version, scale)
+            }))
+        })
         .map_err(|payload| {
             if let Some(s) = payload.downcast_ref::<&str>() {
                 (*s).to_string()
@@ -416,40 +286,27 @@ impl ChaosSession {
     }
 }
 
-impl Drop for ChaosSession {
-    fn drop(&mut self) {
-        ompx_telemetry::uninstall();
-        ompx_sim::span::SpanLog::uninstall();
-    }
-}
-
 /// Run one (app, system, version) cell under a seeded [`FaultPlan`],
 /// catching panics so the chaos harness can assert the trichotomy —
 /// success, clean typed error, or validated fallback — and returning what
 /// the injection did plus the full span timeline (where retries and
-/// fallbacks are visible). Shares the sanitized-run gate so chaos runs
-/// cannot cross-pollute sanitized/traced/profiled runs through the ambient
-/// statics. One-shot wrapper over [`ChaosSession`].
-///
-/// [`FaultPlan`]: ompx_sim::fault::FaultPlan
+/// fallbacks are visible). One-shot wrapper over [`ChaosSession`].
 pub fn run_app_chaos(
     app: &str,
     sys: System,
     version: ProgVersion,
     scale: WorkScale,
-    plan: ompx_sim::fault::FaultPlan,
-) -> (Result<RunOutcome, String>, FaultReport, Vec<ompx_sim::span::Span>) {
+    plan: FaultPlan,
+) -> (Result<RunOutcome, String>, FaultReport, Vec<Span>) {
     let session = ChaosSession::begin();
-    let faults = ompx_sim::fault::FaultState::new(plan);
+    let faults = FaultState::new(plan);
     let result = session.run_cell(app, sys, version, scale, Some(&faults));
     let spans = session.spans();
+    let count = |cat| spans.iter().filter(|s| s.cat == cat).count();
     let report = FaultReport {
         snapshot: faults.snapshot(),
-        retry_spans: spans.iter().filter(|s| s.cat == ompx_sim::span::SpanCategory::Retry).count(),
-        fallback_spans: spans
-            .iter()
-            .filter(|s| s.cat == ompx_sim::span::SpanCategory::Fallback)
-            .count(),
+        retry_spans: count(SpanCategory::Retry),
+        fallback_spans: count(SpanCategory::Fallback),
     };
     (result, report, spans)
 }

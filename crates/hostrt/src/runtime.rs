@@ -205,7 +205,7 @@ impl OpenMp {
     /// `#pragma omp taskwait` — wait for all outstanding tasks.
     pub fn taskwait(&self) {
         self.inner.tasks.wait_all();
-        if let Some(log) = ompx_sim::span::active() {
+        if let Some(log) = self.inner.device.span_log() {
             log.host_op("taskwait", ompx_sim::span::SpanCategory::Sync, 0.0, 0);
         }
     }

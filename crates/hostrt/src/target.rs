@@ -397,7 +397,7 @@ impl TargetRegion {
         let slot2 = Arc::clone(&slot);
         // Submission is instantaneous on the host track; the flow arrow
         // connects it to the task's span on the helper-thread track.
-        let flow = ompx_sim::span::active().map(|log| {
+        let flow = self.omp.device().span_log().map(|log| {
             log.host_op_flow(
                 &format!("nowait {}", self.kernel_name),
                 ompx_sim::span::SpanCategory::Task,
@@ -408,9 +408,10 @@ impl TargetRegion {
         if !self.offload {
             // if(false) + nowait: a host task executes the region body.
             let name = self.kernel_name.clone();
+            let device = omp.device().clone();
             let handle = omp.inner.tasks.submit(deps_in, deps_out, move || {
                 let r = self.run_on_host(n, &body);
-                if let Some(log) = ompx_sim::span::active() {
+                if let Some(log) = device.span_log() {
                     log.task_span(&name, r.modeled.seconds, flow);
                 }
                 *slot2.lock() = Some(Ok(r));
@@ -555,7 +556,7 @@ impl PreparedTarget {
         let r = self.try_execute_quiet()?;
         // A synchronous target region blocks the submitting thread for its
         // modeled duration — one kernel bar on the profiler's host track.
-        if let Some(log) = ompx_sim::span::active() {
+        if let Some(log) = self.omp.device().span_log() {
             log.host_op(
                 &self.kernel_name,
                 ompx_sim::span::SpanCategory::Kernel,
@@ -611,9 +612,7 @@ impl PreparedTarget {
         cause: &ompx_sim::error::SimError,
     ) -> Result<TargetResult, OmpxError> {
         let device = self.omp.device();
-        if let Some(f) = device.faults() {
-            f.note_fallback(&self.kernel_name);
-        }
+        device.note_fallback(&self.kernel_name);
         // A watchdog timeout committed a partial block prefix; restore the
         // pre-launch checkpoint so the host re-dispatch computes from clean
         // state. No-op for side-effect-free faults.
@@ -621,7 +620,7 @@ impl PreparedTarget {
         let stats =
             device.launch_unchecked(&self.kernel, self.cfg.clone()).map_err(OmpxError::Device)?;
         let seconds = host_model_seconds(&stats);
-        if let Some(log) = ompx_sim::span::active() {
+        if let Some(log) = self.omp.device().span_log() {
             // Emitted after the re-dispatch so the fallback bar spans its
             // modeled host duration instead of rendering zero-width.
             log.host_op(
@@ -647,7 +646,7 @@ impl PreparedTarget {
     /// incoming dependence arrow — the `nowait` dispatch path.
     pub(crate) fn execute_as_task(&self, flow: Option<u64>) -> SimResult<TargetResult> {
         let r = self.try_execute_quiet().map_err(OmpxError::into_sim)?;
-        if let Some(log) = ompx_sim::span::active() {
+        if let Some(log) = self.omp.device().span_log() {
             log.task_span(&self.kernel_name, r.modeled.seconds, flow);
         }
         Ok(r)

@@ -19,7 +19,7 @@ use ompx_sim::error::{SimError, SimResult};
 use ompx_sim::exec::Kernel;
 use ompx_sim::fault::{run_with_retry, RetryPolicy};
 use ompx_sim::mem::{DBuf, DeviceScalar};
-use ompx_sim::span::{self, SpanCategory};
+use ompx_sim::span::SpanCategory;
 use ompx_sim::stream::{Event, Stream};
 use ompx_sim::timing::{model_kernel, CodegenInfo, ModeOverheads, ModeledTime};
 use parking_lot::Mutex;
@@ -140,9 +140,7 @@ impl NativeCtx {
         match run_with_retry(&self.inner.device, &self.inner.device.retry_policy(), what, attempt) {
             Ok(()) => Ok(()),
             Err(e) if e.is_injected() => {
-                if let Some(f) = self.inner.device.faults() {
-                    f.note_degraded(&format!("{what}: {e}"));
-                }
+                self.inner.device.note_degraded(&format!("{what}: {e}"));
                 Err(e)
             }
             Err(e) => panic!("{what}: {e}"),
@@ -193,10 +191,10 @@ impl NativeCtx {
         self.memcpy_span("memcpy D2D", SpanCategory::MemcpyD2D, n * std::mem::size_of::<T>());
     }
 
-    /// Record a synchronous memcpy on the profiler's host track, if a span
-    /// log is installed; the bar's width is the modeled transfer time.
+    /// Record a synchronous memcpy on the profiler's host track, if the
+    /// device has a span log; the bar's width is the modeled transfer time.
     fn memcpy_span(&self, name: &str, cat: SpanCategory, bytes: usize) {
-        if let Some(log) = span::active() {
+        if let Some(log) = self.inner.device.span_log() {
             let seconds = self.inner.device.profile().transfer_seconds(bytes);
             log.host_op(name, cat, seconds, bytes as u64);
         }
@@ -227,7 +225,7 @@ impl NativeCtx {
         let data: Vec<T> = src.to_vec();
         let bytes = std::mem::size_of_val(src);
         let seconds = self.inner.device.profile().transfer_seconds(bytes);
-        let flow = span::active().map(|log| {
+        let flow = self.inner.device.span_log().map(|log| {
             log.host_op_flow("memcpyAsync H2D", SpanCategory::HostOp, 0.0, bytes as u64)
         });
         let stream2 = stream.clone();
@@ -278,7 +276,7 @@ impl NativeCtx {
     /// `cudaDeviceSynchronize`.
     pub fn device_synchronize(&self) {
         self.inner.device.synchronize();
-        if let Some(log) = span::active() {
+        if let Some(log) = self.inner.device.span_log() {
             log.host_op("deviceSynchronize", SpanCategory::Sync, 0.0, 0);
         }
     }
@@ -300,7 +298,7 @@ impl NativeCtx {
         let r = self.launch_cfg_inner(kernel, cfg)?;
         // A synchronous launch occupies the host thread for its modeled
         // duration — one kernel bar on the profiler's host track.
-        if let Some(log) = span::active() {
+        if let Some(log) = self.inner.device.span_log() {
             log.host_op(kernel.name(), SpanCategory::Kernel, r.modeled.seconds, 0);
         }
         Ok(r)
@@ -324,9 +322,7 @@ impl NativeCtx {
         let (stats, degraded_by) = match attempt {
             Ok(stats) => (stats, None),
             Err(e) if e.is_injected() => {
-                if let Some(f) = device.faults() {
-                    f.note_degraded(&format!("launch {}: {e}", kernel.name()));
-                }
+                device.note_degraded(&format!("launch {}: {e}", kernel.name()));
                 // A watchdog timeout committed a partial block prefix;
                 // erase it so the blind re-dispatch computes from the
                 // pre-launch state. No-op for side-effect-free faults.
@@ -344,7 +340,7 @@ impl NativeCtx {
         if let Some(e) = degraded_by {
             // Emitted after the re-dispatch so the fallback bar spans its
             // modeled duration instead of rendering zero-width.
-            if let Some(log) = span::active() {
+            if let Some(log) = self.inner.device.span_log() {
                 log.host_op(
                     &format!("degraded {} ({e})", kernel.name()),
                     SpanCategory::Fallback,
@@ -368,7 +364,7 @@ impl NativeCtx {
         if let Err(e) = self.inner.device.validate_launch(&cfg) {
             panic!("launch_async({}): {e}", kernel.name());
         }
-        let flow = span::active().map(|log| {
+        let flow = self.inner.device.span_log().map(|log| {
             log.host_op_flow(&format!("launch {}", kernel.name()), SpanCategory::HostOp, 0.0, 0)
         });
         let ctx = self.clone();

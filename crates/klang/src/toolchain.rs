@@ -25,7 +25,6 @@
 use ompx_sim::timing::CodegenInfo;
 use ompx_sim::Vendor;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The compiler that produced a kernel binary.
@@ -34,7 +33,7 @@ use std::collections::HashMap;
 /// `cuda`/`hip` (LLVM/Clang), `cuda-nvcc`/`hip-hipcc` (vendor compilers),
 /// `omp` (LLVM/Clang OpenMP offloading), and `ompx` (the paper's LLVM 18
 /// prototype).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Toolchain {
     /// LLVM/Clang compiling native CUDA or HIP.
     Clang,

@@ -14,6 +14,7 @@
 //! of time or concurrency.
 
 use ompx_sim::span::{Span, Track};
+use ompx_telemetry::json_escape;
 
 const HOST_TID: u32 = 0;
 const TASKS_TID: u32 = 1;
@@ -21,20 +22,6 @@ const STREAM_TID_BASE: u32 = 10;
 /// Pool-device tracks (`ompx-serve`) sit above the stream range so a trace
 /// with both keeps stable ids: `tid 1000 + member index`.
 const DEVICE_TID_BASE: u32 = 1000;
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Stable tid assignment: host and tasks are fixed, streams get
 /// `STREAM_TID_BASE + k` by order of first appearance in the span list.
@@ -102,7 +89,7 @@ pub fn to_chrome_trace(spans: &[Span]) -> String {
         };
         events.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.6},\"dur\":{:.6},\"args\":{{\"bytes\":{}{}}}}}",
-            esc(&s.name),
+            json_escape(&s.name),
             s.cat.label(),
             tid,
             ts_us,
@@ -137,7 +124,7 @@ fn meta_thread_name(tid: u32, name: &str) -> String {
     format!(
         "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
         tid,
-        esc(name)
+        json_escape(name)
     )
 }
 

@@ -1,7 +1,7 @@
 //! Minimal JSON reader for the profiler's baseline files.
 //!
-//! The workspace vendors `serde` as a no-op shim (no derive, no formats),
-//! so the baseline gate parses its own input. This is a small
+//! The workspace has no JSON dependency, so the baseline gate parses its
+//! own input. This is a small
 //! recursive-descent parser for the full JSON grammar — objects, arrays,
 //! strings with escapes, numbers, booleans, null — returning an owned
 //! [`Json`] tree. It accepts exactly what [`crate::report`] writes and
@@ -202,6 +202,9 @@ impl<'a> Parser<'a> {
                     }
                     self.i += 1;
                 }
+                Some(c) if c < 0x20 => {
+                    return Err(format!("unescaped control character {c:#04x} in string"));
+                }
                 Some(_) => {
                     // Consume one UTF-8 scalar (multi-byte sequences pass
                     // through unmodified).
@@ -227,20 +230,6 @@ impl<'a> Parser<'a> {
         let s = std::str::from_utf8(&self.b[start..self.i]).unwrap();
         s.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number {s:?}: {e}"))
     }
-}
-
-/// Escape a string for embedding in emitted JSON.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -273,7 +262,6 @@ mod tests {
         assert_eq!(arr[0].as_str(), Some("x\n\"y\""));
         assert_eq!(arr[1].get("b"), Some(&Json::Null));
         assert_eq!(v.get("n").and_then(Json::as_f64), Some(-250.0));
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
     }
 
     #[test]
@@ -282,5 +270,7 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nope").is_err());
+        assert!(parse("\"a\nb\"").is_err(), "raw control characters must be escaped");
+        assert!(parse("\"a\tb\"").is_err());
     }
 }

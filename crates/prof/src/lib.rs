@@ -10,7 +10,8 @@
 //!   directly off the timing model's dominant term.
 //! * **Timelines** ([`chrome`]) — the runtimes record [`Span`]s (kernel
 //!   bars, H2D/D2H memcpy bars, `nowait` submissions with flow arrows)
-//!   into an ambient [`SpanLog`]; the exporter renders them as a
+//!   into the [`SpanLog`] of the device they run on (one field of its run
+//!   context); the exporter renders them as a
 //!   multi-track Chrome/Perfetto trace: one host track, one per stream,
 //!   one for the hidden helper threads.
 //! * **Rooflines** ([`roofline`]) — per-kernel `(AI, GFLOP/s)` placement

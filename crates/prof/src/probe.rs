@@ -41,8 +41,8 @@ fn probe_kernel(omp: &OpenMp, name: &str) -> PreparedBare {
     })
 }
 
-/// Run the probe on `omp`'s device. Spans land in the ambient
-/// [`ompx_sim::span::SpanLog`], if one is installed.
+/// Run the probe on `omp`'s device. Spans land in the device's
+/// [`ompx_sim::span::SpanLog`], if it has one.
 pub fn overlap_probe(omp: &OpenMp) -> OverlapReport {
     let k1 = probe_kernel(omp, "probe_k1");
     let k2 = probe_kernel(omp, "probe_k2");

@@ -140,9 +140,9 @@ fn cell_json(c: &CellProfile) -> String {
     let m = &c.metrics;
     format!(
         "{{\"app\":\"{}\",\"version\":\"{}\",\"system\":\"{}\",\"checksum\":\"{:016x}\",\"reported_seconds\":{:e},\"occupancy_pct\":{:.6},\"mem_throughput_pct\":{:.6},\"arithmetic_intensity\":{:.6e},\"gflops\":{:.6e},\"coalescing_eff_pct\":{:.6},\"warp_exec_eff_pct\":{:.6},\"barrier_stall_pct\":{:.6},\"atomic_stall_pct\":{:.6},\"serialization_stall_pct\":{:.6},\"divergence_stall_pct\":{:.6},\"bottleneck\":\"{}\",\"excluded\":{}}}",
-        jsonio::escape(&c.app),
-        jsonio::escape(&c.version),
-        jsonio::escape(&c.system),
+        ompx_telemetry::json_escape(&c.app),
+        ompx_telemetry::json_escape(&c.version),
+        ompx_telemetry::json_escape(&c.system),
         c.checksum,
         c.reported_seconds,
         m.occupancy_pct,

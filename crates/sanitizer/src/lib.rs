@@ -228,21 +228,6 @@ impl Report {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,10 +252,5 @@ mod tests {
         assert_eq!(report.exit_code(), 0);
         assert!(report.to_text().contains("clean run"));
         assert!(report.to_json().contains("\"count\": 0"));
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -21,8 +21,8 @@
 //! (block/thread/index for dynamic findings, the access or buffer
 //! description for static ones).
 
-use crate::json_escape;
 use ompx_sim::san::Diagnostic;
+use ompx_telemetry::{json_escape, MetricRegistry};
 
 /// Finding severity. Errors drive the non-zero exit code; warnings are
 /// reported but do not fail a run by themselves.
@@ -112,20 +112,18 @@ pub fn exit_code(findings: &[Finding]) -> i32 {
     i32::from(findings.iter().any(|f| f.severity == Severity::Error))
 }
 
-/// Count `findings` into the ambient metric registry (if one is
-/// installed) as `findings_total{tool, severity}` — the reporting-side
-/// companion to the per-diagnostic `sanitizer_findings_total` the dynamic
-/// sanitizer records at detection time. CLIs call this once per report so
-/// a metrics snapshot covers static-analyzer findings too.
-pub fn record_findings_metrics(findings: &[Finding]) {
-    if let Some(reg) = ompx_telemetry::active() {
-        for f in findings {
-            reg.counter_add(
-                "findings_total",
-                &[("tool", &f.tool), ("severity", f.severity.label())],
-                1,
-            );
-        }
+/// Count `findings` into `reg` as `findings_total{tool, severity}` — the
+/// reporting-side companion to the per-diagnostic
+/// `sanitizer_findings_total` the dynamic sanitizer records at detection
+/// time. CLIs call this once per report so a metrics snapshot covers
+/// static-analyzer findings too.
+pub fn record_findings_metrics(reg: &MetricRegistry, findings: &[Finding]) {
+    for f in findings {
+        reg.counter_add(
+            "findings_total",
+            &[("tool", &f.tool), ("severity", f.severity.label())],
+            1,
+        );
     }
 }
 
@@ -197,11 +195,11 @@ mod tests {
 
     #[test]
     fn findings_metrics_count_by_tool_and_severity() {
-        let ((), snap) = ompx_telemetry::with_metrics(|| {
-            let mut w = sample();
-            w.severity = Severity::Warning;
-            record_findings_metrics(&[sample(), sample(), w]);
-        });
+        let reg = MetricRegistry::new();
+        let mut w = sample();
+        w.severity = Severity::Warning;
+        record_findings_metrics(&reg, &[sample(), sample(), w]);
+        let snap = reg.snapshot();
         let errors = [("severity", "error"), ("tool", "boundscheck")];
         let warns = [("severity", "warning"), ("tool", "boundscheck")];
         assert_eq!(snap.counter("findings_total", &errors), 2);

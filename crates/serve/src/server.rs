@@ -44,9 +44,10 @@ use ompx_resilience::{
     BreakerConfig, BreakerState, DeadlinePolicy, HedgeConfig, HedgeTracker, Priority, Transition,
 };
 use ompx_sim::fault::FaultPlan;
-use ompx_sim::span::{set_trace_context, Span, SpanCategory};
+use ompx_sim::span::{Span, SpanCategory, SpanLog};
 use ompx_telemetry::{MetricRegistry, Snapshot};
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// Server shape and policies.
 #[derive(Debug, Clone)]
@@ -160,14 +161,7 @@ pub struct ServeResult {
     /// the resilience families, and the substrate families (`sim_*`,
     /// `fault_*`, sanitizer) the executed cells recorded. Deterministic
     /// for a fixed `(cfg, spec)`.
-    pub metrics: Option<Snapshot>,
-}
-
-/// Run `f` against the ambient metric registry, if one is installed.
-fn meter(f: impl FnOnce(&MetricRegistry)) {
-    if let Some(reg) = ompx_telemetry::active() {
-        f(&reg);
-    }
+    pub metrics: Snapshot,
 }
 
 /// Modeled service cost of a failed (typed-error) dispatch, as a fraction
@@ -236,6 +230,10 @@ fn edge_label(t: Transition) -> &'static str {
 struct Server<'a> {
     cfg: &'a ServeConfig,
     session: &'a ChaosSession,
+    /// The session's timeline, stamped with each batch's trace id.
+    log: Arc<SpanLog>,
+    /// The session's metric registry.
+    metrics: Arc<MetricRegistry>,
     reqs: &'a [Request],
     pool: DevicePool,
     /// Per-member backlog of request indices (kept in push order; all
@@ -292,17 +290,15 @@ impl<'a> Server<'a> {
             trace: None,
         });
         let resp = self.responses.last().expect("just pushed");
-        meter(|reg| {
-            reg.counter_add(
-                "serve_requests_total",
-                &[
-                    ("app", resp.app),
-                    ("verdict", resp.verdict.label()),
-                    ("version", version_tag(resp.version)),
-                ],
-                1,
-            );
-        });
+        self.metrics.counter_add(
+            "serve_requests_total",
+            &[
+                ("app", resp.app),
+                ("verdict", resp.verdict.label()),
+                ("version", version_tag(resp.version)),
+            ],
+            1,
+        );
     }
 
     /// Shed one request at admission, metering both the per-tenant
@@ -315,10 +311,8 @@ impl<'a> Server<'a> {
             Priority::BestEffort => self.stats.shed_best_effort += 1,
         }
         self.respond_unexecuted(i, t, Verdict::Rejected(reason));
-        meter(|reg| {
-            reg.counter_add("serve_shed_total", &[("tenant", &tenant.to_string())], 1);
-            reg.counter_add("resilience_shed_total", &[("class", class.label())], 1);
-        });
+        self.metrics.counter_add("serve_shed_total", &[("tenant", &tenant.to_string())], 1);
+        self.metrics.counter_add("resilience_shed_total", &[("class", class.label())], 1);
     }
 
     /// Admission: the brownout ladder sheds best-effort first and batch
@@ -375,15 +369,13 @@ impl<'a> Server<'a> {
 
     /// Record the member's backlog depth and the global high-water mark.
     fn meter_queue_depth(&self, m: usize) {
-        meter(|reg| {
-            let member_label = m.to_string();
-            reg.gauge_set(
-                "serve_queue_depth",
-                &[("member", &member_label)],
-                self.queues[m].len() as f64,
-            );
-            reg.gauge_max("serve_queue_depth_peak", &[], self.total_queued as f64);
-        });
+        let member_label = m.to_string();
+        self.metrics.gauge_set(
+            "serve_queue_depth",
+            &[("member", &member_label)],
+            self.queues[m].len() as f64,
+        );
+        self.metrics.gauge_max("serve_queue_depth_peak", &[], self.total_queued as f64);
     }
 
     /// Drain a member's backlog back through admission (used when a
@@ -392,7 +384,7 @@ impl<'a> Server<'a> {
     fn rehome(&mut self, m: usize, t: f64) -> Result<(), ServeError> {
         let mut drained = std::mem::take(&mut self.queues[m]);
         drained.sort_by_key(|&i| self.edf_key(i));
-        meter(|reg| reg.counter_add("serve_rehomed_total", &[], drained.len() as u64));
+        self.metrics.counter_add("serve_rehomed_total", &[], drained.len() as u64);
         for i in drained {
             self.tenant_queued[self.reqs[i].tenant as usize] -= 1;
             self.total_queued -= 1;
@@ -408,13 +400,11 @@ impl<'a> Server<'a> {
             if t.to == BreakerState::Open {
                 self.stats.breaker_opens += 1;
             }
-            meter(|reg| {
-                reg.counter_add(
-                    "resilience_breaker_transitions_total",
-                    &[("edge", edge_label(t)), ("member", &m.to_string())],
-                    1,
-                );
-            });
+            self.metrics.counter_add(
+                "resilience_breaker_transitions_total",
+                &[("edge", edge_label(t)), ("member", &m.to_string())],
+                1,
+            );
         }
     }
 
@@ -469,16 +459,16 @@ impl<'a> Server<'a> {
         // retries, fallbacks, and the device-track batch span — carries
         // it, as do all of the batch's responses.
         let trace_id = self.reqs[head].id as u64 + 1;
-        set_trace_context(Some(trace_id));
+        self.log.set_trace(Some(trace_id));
         let sys = self.pool.members[m].kind.system();
         let (service, verdict, checksum) = self.execute(m, sys, app, version, batch.len());
-        set_trace_context(None);
+        self.log.set_trace(None);
         // Completed primaries feed the hedge threshold (hedge attempts
         // do not — they are conditioned on being slow and would drag the
         // threshold toward the tail it exists to cut).
         if !matches!(verdict, Verdict::TypedError(_)) {
             self.hedge.observe(app, service);
-            meter(|reg| reg.hist_record("serve_service_seconds", &[("app", app)], service));
+            self.metrics.hist_record("serve_service_seconds", &[("app", app)], service);
         }
         let member = &mut self.pool.members[m];
         member.busy = true;
@@ -532,13 +522,11 @@ impl<'a> Server<'a> {
         let Some(m2) = m2 else {
             // No capacity to hedge onto: the primary stands as-is.
             self.stats.hedges_skipped += 1;
-            meter(|reg| {
-                reg.counter_add(
-                    "resilience_hedges_total",
-                    &[("app", app), ("outcome", "skipped")],
-                    1,
-                );
-            });
+            self.metrics.counter_add(
+                "resilience_hedges_total",
+                &[("app", app), ("outcome", "skipped")],
+                1,
+            );
             self.charge(p.m, trace_id, p.t0, p.service, app, version, p.batch.len(), "");
             self.account_batch(p.m, p.batch.len());
             self.finish(p.m, &p.batch, trace_id, done1, &p.verdict, p.checksum, true);
@@ -549,15 +537,17 @@ impl<'a> Server<'a> {
         };
         self.stats.hedges_launched += 1;
         let sys2 = self.pool.members[m2].kind.system();
-        set_trace_context(Some(trace_id));
+        self.log.set_trace(Some(trace_id));
         let (s2, verdict2, checksum2) = self.execute(m2, sys2, app, version, p.batch.len());
-        set_trace_context(None);
+        self.log.set_trace(None);
         let done2 = th_t + s2;
         let hedge_wins = done2 < done1 && matches!(verdict2, Verdict::Success | Verdict::Fallback);
         let outcome = if hedge_wins { "won" } else { "lost" };
-        meter(|reg| {
-            reg.counter_add("resilience_hedges_total", &[("app", app), ("outcome", outcome)], 1);
-        });
+        self.metrics.counter_add(
+            "resilience_hedges_total",
+            &[("app", app), ("outcome", outcome)],
+            1,
+        );
         if hedge_wins {
             self.stats.hedges_won += 1;
             // The hedge completes first: it carries the batch; the
@@ -642,8 +632,8 @@ impl<'a> Server<'a> {
         suffix: &str,
     ) {
         self.pool.members[m].busy_s += dur;
-        set_trace_context(Some(trace_id));
-        self.session.span_log().device_span(
+        self.log.set_trace(Some(trace_id));
+        self.log.device_span(
             m,
             &format!("{app}/{} ×{batch_len}{suffix}", version_tag(version)),
             SpanCategory::Kernel,
@@ -651,14 +641,12 @@ impl<'a> Server<'a> {
             dur,
             None,
         );
-        set_trace_context(None);
-        meter(|reg| {
-            reg.gauge_set(
-                "serve_busy_seconds",
-                &[("member", &m.to_string())],
-                self.pool.members[m].busy_s,
-            );
-        });
+        self.log.set_trace(None);
+        self.metrics.gauge_set(
+            "serve_busy_seconds",
+            &[("member", &m.to_string())],
+            self.pool.members[m].busy_s,
+        );
     }
 
     /// Account one executed batch against member `m`.
@@ -666,14 +654,12 @@ impl<'a> Server<'a> {
         let member = &mut self.pool.members[m];
         member.batches += 1;
         member.served += batch_len as u64;
-        meter(|reg| {
-            reg.counter_add(
-                "serve_batches_total",
-                &[("kind", self.pool.members[m].kind.label()), ("member", &m.to_string())],
-                1,
-            );
-            reg.hist_record("serve_batch_occupancy", &[], batch_len as f64);
-        });
+        self.metrics.counter_add(
+            "serve_batches_total",
+            &[("kind", self.pool.members[m].kind.label()), ("member", &m.to_string())],
+            1,
+        );
+        self.metrics.hist_record("serve_batch_occupancy", &[], batch_len as f64);
     }
 
     /// Push the batch's responses and meter completion, latency, and
@@ -710,30 +696,26 @@ impl<'a> Server<'a> {
             };
             if resp.missed_deadline() {
                 self.stats.deadline_misses += 1;
-                meter(|reg| {
-                    reg.counter_add(
-                        "resilience_deadline_miss_total",
-                        &[("class", r.priority.label())],
-                        1,
-                    );
-                });
-            }
-            meter(|reg| {
-                reg.counter_add(
-                    "serve_requests_total",
-                    &[
-                        ("app", r.app),
-                        ("verdict", verdict.label()),
-                        ("version", version_tag(r.version)),
-                    ],
+                self.metrics.counter_add(
+                    "resilience_deadline_miss_total",
+                    &[("class", r.priority.label())],
                     1,
                 );
-                reg.hist_record(
-                    "serve_latency_seconds",
-                    &[("tenant", &r.tenant.to_string())],
-                    done - r.arrival_s,
-                );
-            });
+            }
+            self.metrics.counter_add(
+                "serve_requests_total",
+                &[
+                    ("app", r.app),
+                    ("verdict", verdict.label()),
+                    ("version", version_tag(r.version)),
+                ],
+                1,
+            );
+            self.metrics.hist_record(
+                "serve_latency_seconds",
+                &[("tenant", &r.tenant.to_string())],
+                done - r.arrival_s,
+            );
             self.responses.push(resp);
         }
     }
@@ -754,7 +736,7 @@ impl<'a> Server<'a> {
         if let Some(sp) = self.pool.promote_spare() {
             self.warm_spare(sp)?;
             self.stats.spares_promoted += 1;
-            meter(|reg| reg.counter_add("resilience_spare_promotions_total", &[], 1));
+            self.metrics.counter_add("resilience_spare_promotions_total", &[], 1);
         }
         self.rehome(m, now)
     }
@@ -832,18 +814,16 @@ fn batch_service(outcome: &RunOutcome, batch_len: usize) -> f64 {
 /// Pre-declare zero-valued series for the resilience counter families so
 /// quiet runs still export sample lines (the family-coverage check greps
 /// for them), with canonical label sets.
-fn preseed_resilience_series() {
-    meter(|reg| {
-        reg.counter_add(
-            "resilience_breaker_transitions_total",
-            &[("edge", "closed_open"), ("member", "0")],
-            0,
-        );
-        reg.counter_add("resilience_hedges_total", &[("app", "xsbench"), ("outcome", "won")], 0);
-        reg.counter_add("resilience_spare_promotions_total", &[], 0);
-        reg.counter_add("resilience_deadline_miss_total", &[("class", "interactive")], 0);
-        reg.counter_add("resilience_shed_total", &[("class", "best_effort")], 0);
-    });
+fn preseed_resilience_series(reg: &MetricRegistry) {
+    reg.counter_add(
+        "resilience_breaker_transitions_total",
+        &[("edge", "closed_open"), ("member", "0")],
+        0,
+    );
+    reg.counter_add("resilience_hedges_total", &[("app", "xsbench"), ("outcome", "won")], 0);
+    reg.counter_add("resilience_spare_promotions_total", &[], 0);
+    reg.counter_add("resilience_deadline_miss_total", &[("class", "interactive")], 0);
+    reg.counter_add("resilience_shed_total", &[("class", "best_effort")], 0);
 }
 
 /// Run one complete serve load: warm up fault-free expectations, scale
@@ -859,7 +839,8 @@ pub fn serve(cfg: &ServeConfig, spec: &LoadSpec) -> Result<ServeResult, ServeErr
         return Err(ServeError::InvalidConfig("max_batch must be at least 1".into()));
     }
     let session = ChaosSession::begin();
-    preseed_resilience_series();
+    let metrics = session.metrics();
+    preseed_resilience_series(&metrics);
     let mut reqs = loadgen::offered(spec);
 
     // Warmup: one fault-free run per distinct app in the mix pins the
@@ -902,6 +883,8 @@ pub fn serve(cfg: &ServeConfig, spec: &LoadSpec) -> Result<ServeResult, ServeErr
     let mut server = Server {
         cfg,
         session: &session,
+        log: session.span_log(),
+        metrics: Arc::clone(&metrics),
         reqs: &reqs,
         pool: DevicePool::with_spares(
             &cfg.devices,
@@ -958,7 +941,7 @@ pub fn serve(cfg: &ServeConfig, spec: &LoadSpec) -> Result<ServeResult, ServeErr
     let mut responses = server.responses;
     responses.sort_by_key(|r| r.id);
     let spans = session.spans();
-    let metrics = ompx_telemetry::active().map(|reg| reg.snapshot());
+    let metrics = metrics.snapshot();
     Ok(ServeResult {
         responses,
         pool: server.pool,
@@ -1007,7 +990,7 @@ mod tests {
     fn metrics_cover_serve_and_substrate_and_traces_join_responses_to_spans() {
         let cfg = ServeConfig::new(5);
         let out = serve(&cfg, &small_spec(40)).expect("serve");
-        let snap = out.metrics.expect("session installs a registry");
+        let snap = out.metrics;
         // Serve-side accounting matches the response stream exactly.
         let requests_total: u64 = snap
             .samples
@@ -1019,7 +1002,8 @@ mod tests {
             })
             .sum();
         assert_eq!(requests_total, out.responses.len() as u64);
-        // Substrate families recorded through the same ambient registry.
+        // Substrate families recorded by the cells' devices into the same
+        // session registry.
         assert!(snap.counter("sim_launches_total", &[]) > 0);
         assert!(snap.samples.iter().any(|s| s.name == "sim_memcpys_total"));
         assert!(snap.samples.iter().any(|s| s.name == "serve_latency_seconds"));

@@ -5,12 +5,11 @@
 //! These are the quantities a GPU charges time for; [`crate::timing`] turns
 //! them into a modeled execution time.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-thread event counters (plain fields — no synchronization cost on the
 /// hot path of the functional simulation).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CostCounters {
     /// Floating-point operations (fused multiply-add counts as 2).
     pub flops: u64,
@@ -190,7 +189,7 @@ impl KernelStats {
 /// A plain-data snapshot of [`KernelStats`], scalable for workload
 /// extrapolation (the benchmarks simulate a scaled-down problem and multiply
 /// counters up to the paper's problem size before timing — see DESIGN.md §2).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     pub flops: u64,
     pub int_ops: u64,

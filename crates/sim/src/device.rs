@@ -7,6 +7,7 @@
 //! and the *timing model* (SM count, clock, bandwidth, register file,
 //! occupancy limits — see [`crate::timing`]).
 
+use crate::context::{IdSpace, RunContext};
 use crate::counters::StatsSnapshot;
 use crate::dim::LaunchConfig;
 use crate::error::{SimError, SimResult};
@@ -15,15 +16,16 @@ use crate::fault::{FaultKind, FaultSite, FaultState, Injected, RetryPolicy};
 use crate::mem::{BufImage, CheckpointTarget, DBuf, DeviceScalar};
 use crate::memtrace::{LaunchMemTrace, MemTrace};
 use crate::san::{LaunchSan, SanState};
+use crate::span::SpanLog;
+use ompx_telemetry::MetricRegistry;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// GPU vendor, used by the paper's §3.6 wrapper layer to pick the matching
 /// "vendor library" implementation at launch-target resolution time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vendor {
     Nvidia,
     Amd,
@@ -45,7 +47,7 @@ impl std::fmt::Display for Vendor {
 ///
 /// Field names use NVIDIA vocabulary ("SM", "warp") for uniformity; on the
 /// AMD profile an SM is a Compute Unit and a warp is a 64-lane wavefront.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     pub name: String,
     pub vendor: Vendor,
@@ -214,6 +216,13 @@ pub(crate) struct DeviceInner {
     pub(crate) streams: Mutex<Vec<Weak<crate::stream::StreamInner>>>,
     trace: crate::trace::Trace,
     trace_enabled: std::sync::atomic::AtomicBool,
+    /// Profiler span log of the run context the device was created in.
+    span_log: Option<Arc<SpanLog>>,
+    /// Metric registry of the run context the device was created in.
+    pub(crate) metrics: Option<Arc<MetricRegistry>>,
+    /// Where this device's allocation and stream ids come from: the run
+    /// context's id space, or the process-wide one outside any scope.
+    ids: Option<Arc<IdSpace>>,
     /// Attached sanitizer session, if any. All launches and allocations on
     /// this device report into it while attached.
     sanitizer: Mutex<Option<Arc<SanState>>>,
@@ -265,8 +274,15 @@ pub struct Device {
 }
 
 impl Device {
-    /// Bring up a device with the given hardware profile.
+    /// Bring up a device with the given hardware profile, attached to the
+    /// calling thread's current [`RunContext`] (see
+    /// [`RunContext::scope`]): its sanitizer session, memory trace, fault
+    /// state, write-set hints, span log and metric registry.
     pub fn new(profile: DeviceProfile) -> Self {
+        let ctx = RunContext::current();
+        let write_sets = ctx.write_sets.as_deref().map_or_else(HashMap::new, |hints| {
+            hints.iter().map(|(kernel, labels)| (kernel.clone(), labels.clone())).collect()
+        });
         Device {
             inner: Arc::new(DeviceInner {
                 profile,
@@ -275,17 +291,35 @@ impl Device {
                 streams: Mutex::new(Vec::new()),
                 trace: crate::trace::Trace::new(),
                 trace_enabled: std::sync::atomic::AtomicBool::new(false),
-                sanitizer: Mutex::new(None),
-                mem_trace: Mutex::new(None),
-                faults: Mutex::new(None),
+                span_log: ctx.span_log,
+                metrics: ctx.metrics,
+                ids: ctx.ids,
+                sanitizer: Mutex::new(ctx.sanitizer),
+                mem_trace: Mutex::new(ctx.mem_trace),
+                faults: Mutex::new(ctx.faults),
                 last_error: Mutex::new(None),
                 retry: Mutex::new(RetryPolicy::default()),
                 allocs: Mutex::new(Vec::new()),
-                write_sets: Mutex::new(HashMap::new()),
+                write_sets: Mutex::new(write_sets),
                 checkpoints: Mutex::new(HashMap::new()),
                 sim_workers: AtomicUsize::new(0),
             }),
         }
+    }
+
+    /// The profiler span log this device records into, if any.
+    pub fn span_log(&self) -> Option<&SpanLog> {
+        self.inner.span_log.as_deref()
+    }
+
+    /// The metric registry this device counts into, if any.
+    pub fn metrics(&self) -> Option<&MetricRegistry> {
+        self.inner.metrics.as_deref()
+    }
+
+    /// The id space allocations and streams on this device draw from.
+    pub(crate) fn ids(&self) -> &IdSpace {
+        self.inner.ids.as_deref().unwrap_or(IdSpace::process())
     }
 
     /// Set (or with `None`, clear) this device's executor worker-thread
@@ -360,6 +394,22 @@ impl Device {
         self.faults().is_some_and(|f| f.device_lost())
     }
 
+    /// Record an operation that bypassed injection and completed
+    /// unchecked on the attached fault state, if any.
+    pub fn note_degraded(&self, what: &str) {
+        if let Some(f) = self.faults() {
+            f.note_degraded(what, self.metrics());
+        }
+    }
+
+    /// Record a target region re-dispatched through the host fallback on
+    /// the attached fault state, if any.
+    pub fn note_fallback(&self, what: &str) {
+        if let Some(f) = self.faults() {
+            f.note_fallback(what, self.metrics());
+        }
+    }
+
     /// Retry policy used for transient faults on this device.
     pub fn retry_policy(&self) -> RetryPolicy {
         *self.inner.retry.lock()
@@ -398,7 +448,7 @@ impl Device {
 
     /// Roll the attached fault state at `site`, if any.
     fn roll(&self, site: FaultSite) -> Option<Injected> {
-        self.faults().and_then(|f| f.roll(site))
+        self.faults().and_then(|f| f.roll(site, self.metrics()))
     }
 
     /// Stream-synchronize injection decision (called by
@@ -451,7 +501,7 @@ impl Device {
                 available: cap - prev.min(cap),
             });
         }
-        let buf = DBuf::new_zeroed(n, self.inner.id);
+        let buf = DBuf::new_zeroed(n, self);
         self.register_alloc(&buf);
         Ok(buf)
     }
@@ -468,9 +518,7 @@ impl Device {
             Ok(buf) => buf,
             Err(e) => match self.alloc_capacity_checked(n) {
                 Ok(buf) => {
-                    if let Some(f) = self.faults() {
-                        f.note_degraded(&format!("alloc of {n} elements: {e}"));
-                    }
+                    self.note_degraded(&format!("alloc of {n} elements: {e}"));
                     buf
                 }
                 Err(real) => panic!("device allocation failed: {real}"),
@@ -496,9 +544,7 @@ impl Device {
             }
         });
         if let Err(e) = rolled {
-            if let Some(f) = self.faults() {
-                f.note_degraded(&format!("{what}: {e}"));
-            }
+            self.note_degraded(&format!("{what}: {e}"));
         }
     }
 
@@ -523,7 +569,7 @@ impl Device {
         let bytes = n * std::mem::size_of::<T>();
         self.alloc_gate("alloc_uninit", bytes);
         self.inner.allocated.fetch_add(bytes, Ordering::Relaxed);
-        let buf = DBuf::new_uninit(n, self.inner.id);
+        let buf = DBuf::new_uninit(n, self);
         self.register_alloc(&buf);
         buf
     }
@@ -546,7 +592,7 @@ impl Device {
         let bytes = std::mem::size_of_val(data);
         self.alloc_gate("alloc_from", bytes);
         self.inner.allocated.fetch_add(bytes, Ordering::Relaxed);
-        let buf = DBuf::from_slice(data, self.inner.id);
+        let buf = DBuf::from_slice(data, self);
         self.register_alloc(&buf);
         buf
     }
@@ -571,7 +617,7 @@ impl Device {
     pub fn reset(&self) {
         self.synchronize();
         if let Some(san) = &*self.inner.sanitizer.lock() {
-            san.on_device_reset(&self.inner.profile.name);
+            san.on_device_reset(&self.inner.profile.name, self.metrics());
         }
         self.inner.allocated.store(0, Ordering::Relaxed);
         *self.inner.last_error.lock() = None;
@@ -730,7 +776,7 @@ impl Device {
         // mid-run and leaves a committed block prefix behind — see
         // `watchdog_partial`.
         if let Some(inj) = self.roll(FaultSite::Launch) {
-            if let Some(reg) = ompx_telemetry::active() {
+            if let Some(reg) = self.metrics() {
                 reg.counter_add("sim_launch_faults_total", &[("kind", inj.kind.label())], 1);
             }
             return Err(match inj.kind {
@@ -756,7 +802,9 @@ impl Device {
         self.checkpoint_write_set(kernel.name());
         let committed = (inj.salt as usize) % cfg.num_blocks();
         if committed > 0 {
-            let san = self.sanitizer().map(|state| LaunchSan::new(state, kernel.name()));
+            let san = self
+                .sanitizer()
+                .map(|state| LaunchSan::new(state, kernel.name(), self.inner.metrics.clone()));
             let mem = self.mem_trace().map(|trace| LaunchMemTrace::new(trace, kernel.name()));
             let _ = exec::run_prefix(
                 kernel,
@@ -841,10 +889,12 @@ impl Device {
     /// still produces functionally correct results.
     pub fn launch_unchecked(&self, kernel: &Kernel, cfg: LaunchConfig) -> SimResult<StatsSnapshot> {
         self.validate_launch(&cfg)?;
-        if let Some(reg) = ompx_telemetry::active() {
+        if let Some(reg) = self.metrics() {
             reg.counter_add("sim_launches_total", &[], 1);
         }
-        let san = self.sanitizer().map(|state| LaunchSan::new(state, kernel.name()));
+        let san = self
+            .sanitizer()
+            .map(|state| LaunchSan::new(state, kernel.name(), self.inner.metrics.clone()));
         let mem = self.mem_trace().map(|trace| LaunchMemTrace::new(trace, kernel.name()));
         let stats = exec::run(
             kernel,

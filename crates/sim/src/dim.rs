@@ -5,13 +5,11 @@
 //! `num_teams`/`thread_limit` clauses to accept the same multi-dimensional
 //! lists. This module is the common geometry vocabulary for both worlds.
 
-use serde::{Deserialize, Serialize};
-
 /// A three-dimensional extent, identical in spirit to CUDA's `dim3`.
 ///
 /// Components default to 1, mirroring `dim3`'s constructor semantics, so
 /// `Dim3::x(128)` is `dim3(128)` and `Dim3::new(8, 8, 1)` is `dim3(8, 8)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     pub x: u32,
     pub y: u32,
@@ -112,7 +110,7 @@ impl From<[u32; 3]> for Dim3 {
 /// Kernels retrieve a slot through [`crate::thread::ThreadCtx::shared`]; the
 /// simulator allocates one instance per thread block, mirroring `__shared__`
 /// arrays in CUDA and the `groupprivate(team:)` directive the paper adopts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedSlotDecl {
     /// Element count of the array.
     pub len: usize,
@@ -130,7 +128,7 @@ impl SharedSlotDecl {
 }
 
 /// Full description of a kernel launch: geometry plus shared-memory layout.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchConfig {
     /// Number of thread blocks in the grid (CUDA `gridDim`).
     pub grid: Dim3,

@@ -9,9 +9,10 @@
 //! tests are reproducible and a fault-free plan is bit-identical to no plan
 //! at all.
 //!
-//! Attachment follows the ambient pattern the sanitizer, memory trace and
-//! span log established: a harness builds a [`FaultState`] from a plan and
-//! attaches it to a [`Device`] ([`Device::attach_faults`]); while attached,
+//! A harness builds a [`FaultState`] from a plan and hands it to a
+//! [`Device`] — as the `faults` field of the run context the device is
+//! created in (`crate::context::RunContext`), or later with
+//! [`Device::attach_faults`]; while attached,
 //! the device's allocation, memcpy, launch and stream-synchronize paths
 //! consult it ("roll") before doing real work. With no state attached the
 //! hot paths pay one mutex-guarded `Option` clone.
@@ -41,6 +42,7 @@
 use crate::device::Device;
 use crate::error::SimResult;
 use crate::span::SpanCategory;
+use ompx_telemetry::MetricRegistry;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -385,10 +387,10 @@ impl FaultState {
         &self.plan
     }
 
-    /// Count an injection on the ambient metric registry, if one is
-    /// installed, labeled by fault kind and injection site.
-    fn meter_injection(site: FaultSite, kind: FaultKind) {
-        if let Some(reg) = ompx_telemetry::active() {
+    /// Count an injection on the rolling device's metric registry, if
+    /// any, labeled by fault kind and injection site.
+    fn meter_injection(metrics: Option<&MetricRegistry>, site: FaultSite, kind: FaultKind) {
+        if let Some(reg) = metrics {
             reg.counter_add(
                 "fault_injected_total",
                 &[("kind", kind.label()), ("site", site.label())],
@@ -397,8 +399,13 @@ impl FaultState {
         }
     }
 
-    /// Decide whether the next operation at `site` faults.
-    pub(crate) fn roll(&self, site: FaultSite) -> Option<Injected> {
+    /// Decide whether the next operation at `site` faults; a fresh
+    /// injection is counted on `metrics`.
+    pub(crate) fn roll(
+        &self,
+        site: FaultSite,
+        metrics: Option<&MetricRegistry>,
+    ) -> Option<Injected> {
         let slot = site.code() as usize;
         let op = self.site_ops[slot].fetch_add(1, Ordering::Relaxed);
         let gop = self.global_ops.fetch_add(1, Ordering::Relaxed);
@@ -410,7 +417,7 @@ impl FaultState {
             if gop >= at {
                 self.lost.store(true, Ordering::Release);
                 self.injected.lock().push(FaultEvent { site, op, kind: FaultKind::DeviceLost });
-                Self::meter_injection(site, FaultKind::DeviceLost);
+                Self::meter_injection(metrics, site, FaultKind::DeviceLost);
                 return Some(Injected { kind: FaultKind::DeviceLost, salt: 0 });
             }
         }
@@ -435,7 +442,7 @@ impl FaultState {
             let salt = splitmix64(self.plan.seed ^ site.code() ^ op);
             *episode = Some(Episode { kind, remaining: 0, salt });
             self.injected.lock().push(FaultEvent { site, op, kind });
-            Self::meter_injection(site, kind);
+            Self::meter_injection(metrics, site, kind);
             return Some(Injected { kind, salt });
         }
 
@@ -469,38 +476,38 @@ impl FaultState {
         let burst = 1 + ((h2 >> 8) as u32 % self.plan.max_burst.clamp(1, BURST_CAP));
         *episode = Some(Episode { kind, remaining: burst - 1, salt: h2 });
         self.injected.lock().push(FaultEvent { site, op, kind });
-        Self::meter_injection(site, kind);
+        Self::meter_injection(metrics, site, kind);
         Some(Injected { kind, salt: h2 })
     }
 
     /// Record a retry that ultimately succeeded.
-    pub fn note_recovered(&self) {
+    pub(crate) fn note_recovered(&self, metrics: Option<&MetricRegistry>) {
         self.recovered.fetch_add(1, Ordering::Relaxed);
-        if let Some(reg) = ompx_telemetry::active() {
+        if let Some(reg) = metrics {
             reg.counter_add("fault_recovered_total", &[], 1);
         }
     }
 
     /// Record a target region re-dispatched through the host fallback.
-    pub fn note_fallback(&self, what: &str) {
+    pub(crate) fn note_fallback(&self, what: &str, metrics: Option<&MetricRegistry>) {
         self.fallbacks.lock().push(what.to_string());
-        if let Some(reg) = ompx_telemetry::active() {
+        if let Some(reg) = metrics {
             reg.counter_add("fault_fallbacks_total", &[], 1);
         }
     }
 
     /// Record an operation that bypassed injection and completed unchecked.
-    pub fn note_degraded(&self, what: &str) {
+    pub(crate) fn note_degraded(&self, what: &str, metrics: Option<&MetricRegistry>) {
         self.degraded.lock().push(what.to_string());
-        if let Some(reg) = ompx_telemetry::active() {
+        if let Some(reg) = metrics {
             reg.counter_add("fault_degraded_total", &[], 1);
         }
     }
 
     /// Record an error that became sticky device state.
-    pub fn note_sticky(&self, what: &str) {
+    pub(crate) fn note_sticky(&self, what: &str, metrics: Option<&MetricRegistry>) {
         self.sticky.lock().push(what.to_string());
-        if let Some(reg) = ompx_telemetry::active() {
+        if let Some(reg) = metrics {
             reg.counter_add("fault_sticky_total", &[], 1);
         }
     }
@@ -545,9 +552,9 @@ pub fn run_with_retry<T>(
             Ok(v) => {
                 if attempt > 1 {
                     if let Some(faults) = device.faults() {
-                        faults.note_recovered();
+                        faults.note_recovered(device.metrics());
                     }
-                    if let Some(log) = crate::span::active() {
+                    if let Some(log) = device.span_log() {
                         log.host_op(
                             &format!("recovered {op_name} (attempt {attempt})"),
                             SpanCategory::Retry,
@@ -559,7 +566,7 @@ pub fn run_with_retry<T>(
                 return Ok(v);
             }
             Err(e) if e.is_transient() && attempt < max_attempts => {
-                if let Some(log) = crate::span::active() {
+                if let Some(log) = device.span_log() {
                     log.host_op(
                         &format!("retry {op_name} #{attempt}: {e}"),
                         SpanCategory::Retry,
@@ -572,7 +579,7 @@ pub fn run_with_retry<T>(
             Err(e) => {
                 device.record_error(e.clone());
                 if let Some(faults) = device.faults() {
-                    faults.note_sticky(&format!("{op_name}: {e}"));
+                    faults.note_sticky(&format!("{op_name}: {e}"), device.metrics());
                 }
                 return Err(e);
             }
@@ -589,7 +596,7 @@ mod tests {
         let st = FaultState::new(FaultPlan::none());
         for site in FaultSite::ALL {
             for _ in 0..200 {
-                assert!(st.roll(site).is_none());
+                assert!(st.roll(site, None).is_none());
             }
         }
         let snap = st.snapshot();
@@ -601,7 +608,9 @@ mod tests {
     fn rolls_are_deterministic_in_seed_and_op() {
         let fired = |seed| {
             let st = FaultState::new(FaultPlan::seeded(seed, 0.2));
-            (0..100).filter_map(|_| st.roll(FaultSite::Launch).map(|i| i.kind)).collect::<Vec<_>>()
+            (0..100)
+                .filter_map(|_| st.roll(FaultSite::Launch, None).map(|i| i.kind))
+                .collect::<Vec<_>>()
         };
         assert_eq!(fired(7), fired(7));
         assert_ne!(fired(7), fired(8), "different seeds should differ at rate 0.2");
@@ -615,7 +624,7 @@ mod tests {
         // still end in success after at most BURST_CAP failures.
         for _ in 0..20 {
             let mut failures = 0;
-            while st.roll(FaultSite::MemcpyH2D).is_some() {
+            while st.roll(FaultSite::MemcpyH2D, None).is_some() {
                 failures += 1;
                 assert!(failures <= BURST_CAP, "episode exceeded the burst cap");
             }
@@ -628,11 +637,11 @@ mod tests {
         let st =
             FaultState::new(FaultPlan::none().with_injection(FaultSite::Alloc, 3, FaultKind::Oom));
         for op in 0..10u64 {
-            let hit = st.roll(FaultSite::Alloc);
+            let hit = st.roll(FaultSite::Alloc, None);
             if op == 3 {
                 assert_eq!(hit.unwrap().kind, FaultKind::Oom);
                 // The single-shot episode ends on the next roll (retry path).
-                assert!(st.roll(FaultSite::Alloc).is_none());
+                assert!(st.roll(FaultSite::Alloc, None).is_none());
             } else {
                 assert!(hit.is_none(), "op {op} should not fault");
             }
@@ -644,12 +653,12 @@ mod tests {
     fn device_loss_is_sticky_across_all_sites() {
         let st = FaultState::new(FaultPlan::none().with_device_loss_at(5));
         for _ in 0..5 {
-            assert!(st.roll(FaultSite::Launch).is_none());
+            assert!(st.roll(FaultSite::Launch, None).is_none());
         }
-        assert_eq!(st.roll(FaultSite::Launch).unwrap().kind, FaultKind::DeviceLost);
+        assert_eq!(st.roll(FaultSite::Launch, None).unwrap().kind, FaultKind::DeviceLost);
         assert!(st.device_lost());
         for site in FaultSite::ALL {
-            assert_eq!(st.roll(site).unwrap().kind, FaultKind::DeviceLost);
+            assert_eq!(st.roll(site, None).unwrap().kind, FaultKind::DeviceLost);
         }
     }
 
@@ -658,7 +667,7 @@ mod tests {
         let st = FaultState::new(FaultPlan::seeded(1234, 0.5));
         for site in FaultSite::ALL {
             for _ in 0..200 {
-                if let Some(inj) = st.roll(site) {
+                if let Some(inj) = st.roll(site, None) {
                     assert!(
                         site.kinds().contains(&inj.kind),
                         "{:?} fired {:?}, not one of its kinds",
@@ -676,7 +685,7 @@ mod tests {
         let mut fired = 0;
         for site in FaultSite::ALL {
             for _ in 0..100 {
-                if let Some(inj) = st.roll(site) {
+                if let Some(inj) = st.roll(site, None) {
                     assert_eq!(inj.kind, FaultKind::Watchdog, "{site:?} leaked another kind");
                     fired += 1;
                 }
@@ -694,7 +703,7 @@ mod tests {
         let base = FaultPlan::seeded(20260808, 0.15).with_device_loss_at(40);
         let fired = |plan: FaultPlan| {
             let st = FaultState::new(FaultPlan { lose_device_at: None, ..plan });
-            (0..400).map(|_| st.roll(FaultSite::Launch).is_some()).collect::<Vec<_>>()
+            (0..400).map(|_| st.roll(FaultSite::Launch, None).is_some()).collect::<Vec<_>>()
         };
         let m0 = fired(base.for_pool_member(0));
         let m1 = fired(base.for_pool_member(1));

@@ -58,6 +58,7 @@
 
 pub mod barrier;
 pub mod constant;
+pub mod context;
 pub mod counters;
 pub mod device;
 pub mod dim;
@@ -78,6 +79,7 @@ pub mod warp;
 /// Convenient glob import for simulator users.
 pub mod prelude {
     pub use crate::constant::CBuf;
+    pub use crate::context::RunContext;
     pub use crate::counters::{CostCounters, KernelStats};
     pub use crate::device::{Device, DeviceProfile, Vendor};
     pub use crate::dim::{Dim3, LaunchConfig};

@@ -11,14 +11,12 @@
 //! Buffers are reference-counted handles ([`DBuf`]); cloning a handle is the
 //! device-pointer copy of `cudaMalloc`-style APIs, not a data copy.
 
+use crate::device::Device;
+use ompx_telemetry::MetricRegistry;
 use std::sync::atomic::{
     AtomicBool, AtomicI32, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
 use std::sync::{Arc, OnceLock};
-
-/// Monotonic allocation ids, unique process-wide. Sanitizer diagnostics and
-/// the leak registry key on these rather than addresses.
-static NEXT_ALLOC_ID: AtomicUsize = AtomicUsize::new(1);
 
 /// Scalar types that can live in simulated device memory.
 ///
@@ -246,8 +244,11 @@ impl<T: DeviceScalar> CheckpointTarget for DBufInner<T> {
 struct DBufInner<T: DeviceScalar> {
     cells: Box<[T::Atomic]>,
     device_id: usize,
-    /// Process-unique allocation id (sanitizer registry key).
+    /// Allocation id, unique within the owning device's run context
+    /// (sanitizer registry key).
     alloc_id: usize,
+    /// The owning device's metric registry, which counts every copy.
+    metrics: Option<Arc<MetricRegistry>>,
     /// Human-readable label for diagnostics (`alloc_labeled`), set at most
     /// once; defaults to `alloc#<id>`.
     label: OnceLock<String>,
@@ -289,10 +290,10 @@ impl<T: DeviceScalar> Clone for DBuf<T> {
 }
 
 impl<T: DeviceScalar> DBuf<T> {
-    pub(crate) fn new_zeroed(len: usize, device_id: usize) -> Self {
+    pub(crate) fn new_zeroed(len: usize, device: &Device) -> Self {
         let cells: Box<[T::Atomic]> =
             (0..len).map(|_| T::new_cell(T::default())).collect::<Vec<_>>().into_boxed_slice();
-        Self::from_parts(cells, device_id, false)
+        Self::from_parts(cells, device, false)
     }
 
     /// Like [`DBuf::new_zeroed`] but with an initialization bitmap: elements
@@ -300,27 +301,28 @@ impl<T: DeviceScalar> DBuf<T> {
     /// `cudaMalloc` memory. (Storage is still physically zeroed — reads of
     /// uninitialized cells yield `T::default()`, a defined value, just as the
     /// rest of the simulator keeps racy programs memory-safe.)
-    pub(crate) fn new_uninit(len: usize, device_id: usize) -> Self {
+    pub(crate) fn new_uninit(len: usize, device: &Device) -> Self {
         let cells: Box<[T::Atomic]> =
             (0..len).map(|_| T::new_cell(T::default())).collect::<Vec<_>>().into_boxed_slice();
-        Self::from_parts(cells, device_id, true)
+        Self::from_parts(cells, device, true)
     }
 
-    pub(crate) fn from_slice(data: &[T], device_id: usize) -> Self {
+    pub(crate) fn from_slice(data: &[T], device: &Device) -> Self {
         let cells: Box<[T::Atomic]> =
             data.iter().map(|&v| T::new_cell(v)).collect::<Vec<_>>().into_boxed_slice();
-        Self::from_parts(cells, device_id, false)
+        Self::from_parts(cells, device, false)
     }
 
-    fn from_parts(cells: Box<[T::Atomic]>, device_id: usize, track_init: bool) -> Self {
+    fn from_parts(cells: Box<[T::Atomic]>, device: &Device, track_init: bool) -> Self {
         let len = cells.len();
         let init = track_init
             .then(|| (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect::<Vec<_>>().into());
         DBuf {
             inner: Arc::new(DBufInner {
                 cells,
-                device_id,
-                alloc_id: NEXT_ALLOC_ID.fetch_add(1, Ordering::Relaxed),
+                device_id: device.id(),
+                alloc_id: device.ids().next_alloc(),
+                metrics: device.inner.metrics.clone(),
                 label: OnceLock::new(),
                 freed: AtomicBool::new(false),
                 init,
@@ -333,7 +335,8 @@ impl<T: DeviceScalar> DBuf<T> {
         self.inner.clone()
     }
 
-    /// Process-unique id of this allocation (shared by all aliasing handles).
+    /// Id of this allocation, unique within its run context (shared by all
+    /// aliasing handles).
     pub fn alloc_id(&self) -> usize {
         self.inner.alloc_id
     }
@@ -454,7 +457,7 @@ impl<T: DeviceScalar> DBuf<T> {
 
     /// Copy the whole buffer to a host `Vec` (device-to-host memcpy).
     pub fn to_vec(&self) -> Vec<T> {
-        meter_copy("d2h", self.len() * std::mem::size_of::<T>());
+        self.meter_copy("d2h", self.len() * std::mem::size_of::<T>());
         (0..self.len()).map(|i| self.get(i)).collect()
     }
 
@@ -467,7 +470,7 @@ impl<T: DeviceScalar> DBuf<T> {
             src.len(),
             self.len()
         );
-        meter_copy("h2d", std::mem::size_of_val(src));
+        self.meter_copy("h2d", std::mem::size_of_val(src));
         for (i, &v) in src.iter().enumerate() {
             self.set(i, v);
         }
@@ -482,7 +485,7 @@ impl<T: DeviceScalar> DBuf<T> {
             dst.len(),
             self.len()
         );
-        meter_copy("d2h", std::mem::size_of_val(dst));
+        self.meter_copy("d2h", std::mem::size_of_val(dst));
         for (i, v) in dst.iter_mut().enumerate() {
             *v = self.get(i);
         }
@@ -491,9 +494,20 @@ impl<T: DeviceScalar> DBuf<T> {
     /// Device-to-device copy of `len` elements (`cudaMemcpyDeviceToDevice`).
     pub fn copy_from_device(&self, src: &DBuf<T>, len: usize) {
         assert!(len <= src.len() && len <= self.len(), "device-to-device copy out of range");
-        meter_copy("d2d", len * std::mem::size_of::<T>());
+        self.meter_copy("d2d", len * std::mem::size_of::<T>());
         for i in 0..len {
             self.set(i, src.get(i));
+        }
+    }
+
+    /// Count a modeled transfer on the owning device's metric registry, if
+    /// any, labeled by direction. Sits on the copy methods — the one choke
+    /// point every runtime's memcpy path (fallible device API, hostrt
+    /// mapping, klang) flows through.
+    fn meter_copy(&self, dir: &'static str, bytes: usize) {
+        if let Some(reg) = &self.inner.metrics {
+            reg.counter_add("sim_memcpys_total", &[("dir", dir)], 1);
+            reg.counter_add("sim_memcpy_bytes_total", &[("dir", dir)], bytes as u64);
         }
     }
 
@@ -502,17 +516,6 @@ impl<T: DeviceScalar> DBuf<T> {
         for i in 0..self.len() {
             self.set(i, v);
         }
-    }
-}
-
-/// Count a modeled transfer on the ambient metric registry, if one is
-/// installed, labeled by direction. Sits on the `DBuf` copy methods — the
-/// one choke point every runtime's memcpy path (fallible device API,
-/// hostrt mapping, klang) flows through.
-fn meter_copy(dir: &'static str, bytes: usize) {
-    if let Some(reg) = ompx_telemetry::active() {
-        reg.counter_add("sim_memcpys_total", &[("dir", dir)], 1);
-        reg.counter_add("sim_memcpy_bytes_total", &[("dir", dir)], bytes as u64);
     }
 }
 
@@ -531,10 +534,15 @@ impl<T: DeviceScalar> std::fmt::Debug for DBuf<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::DeviceProfile;
+
+    fn dev() -> Device {
+        Device::new(DeviceProfile::test_small())
+    }
 
     #[test]
     fn roundtrip_host_copies() {
-        let buf = DBuf::<f32>::new_zeroed(8, 0);
+        let buf = DBuf::<f32>::new_zeroed(8, &dev());
         assert_eq!(buf.to_vec(), vec![0.0; 8]);
         buf.copy_from_host(&[1.0, 2.0, 3.0]);
         assert_eq!(buf.get(1), 2.0);
@@ -545,18 +553,18 @@ mod tests {
 
     #[test]
     fn clone_aliases_same_memory() {
-        let a = DBuf::<u32>::from_slice(&[1, 2, 3], 0);
+        let a = DBuf::<u32>::from_slice(&[1, 2, 3], &dev());
         let b = a.clone();
         b.set(0, 42);
         assert_eq!(a.get(0), 42);
         assert!(a.same_allocation(&b));
-        let c = DBuf::<u32>::from_slice(&[1, 2, 3], 0);
+        let c = DBuf::<u32>::from_slice(&[1, 2, 3], &dev());
         assert!(!a.same_allocation(&c));
     }
 
     #[test]
     fn atomic_ops_integer() {
-        let buf = DBuf::<u32>::from_slice(&[10], 0);
+        let buf = DBuf::<u32>::from_slice(&[10], &dev());
         assert_eq!(buf.atomic_add(0, 5), 10);
         assert_eq!(buf.get(0), 15);
         assert_eq!(buf.atomic_min(0, 3), 15);
@@ -569,14 +577,14 @@ mod tests {
 
     #[test]
     fn atomic_add_float_cas_loop() {
-        let buf = DBuf::<f64>::from_slice(&[1.5], 0);
+        let buf = DBuf::<f64>::from_slice(&[1.5], &dev());
         assert_eq!(buf.atomic_add(0, 2.5), 1.5);
         assert_eq!(buf.get(0), 4.0);
     }
 
     #[test]
     fn concurrent_atomic_adds_are_exact() {
-        let buf = DBuf::<f32>::new_zeroed(1, 0);
+        let buf = DBuf::<f32>::new_zeroed(1, &dev());
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let b = buf.clone();
@@ -592,8 +600,8 @@ mod tests {
 
     #[test]
     fn device_to_device_copy_and_fill() {
-        let a = DBuf::<i64>::from_slice(&[5, 6, 7, 8], 0);
-        let b = DBuf::<i64>::new_zeroed(4, 0);
+        let a = DBuf::<i64>::from_slice(&[5, 6, 7, 8], &dev());
+        let b = DBuf::<i64>::new_zeroed(4, &dev());
         b.copy_from_device(&a, 3);
         assert_eq!(b.to_vec(), vec![5, 6, 7, 0]);
         b.fill(-1);
@@ -603,14 +611,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "host-to-device copy")]
     fn oversized_host_copy_panics() {
-        let buf = DBuf::<u32>::new_zeroed(2, 0);
+        let buf = DBuf::<u32>::new_zeroed(2, &dev());
         buf.copy_from_host(&[1, 2, 3]);
     }
 
     #[test]
     #[should_panic]
     fn out_of_bounds_access_panics() {
-        let buf = DBuf::<u32>::new_zeroed(2, 0);
+        let buf = DBuf::<u32>::new_zeroed(2, &dev());
         buf.get(2);
     }
 }

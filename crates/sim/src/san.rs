@@ -33,6 +33,7 @@
 //!   resets the device (`Device::reset`, the `cudaDeviceReset` analogue);
 //!   like the hardware tool, implicit process-exit teardown is not a leak.
 
+use ompx_telemetry::MetricRegistry;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -358,11 +359,11 @@ impl SanState {
         self.allocs.lock().clone()
     }
 
-    fn record(&self, diag: Diagnostic, dedup_key: DedupKey) {
+    fn record(&self, diag: Diagnostic, dedup_key: DedupKey, metrics: Option<&MetricRegistry>) {
         if !self.seen.lock().insert(dedup_key) {
             return;
         }
-        if let Some(reg) = ompx_telemetry::active() {
+        if let Some(reg) = metrics {
             reg.counter_add("sanitizer_findings_total", &[("tool", diag.kind.tool())], 1);
         }
         let mut diags = self.diagnostics.lock();
@@ -394,7 +395,7 @@ impl SanState {
 
     /// Leak scan at explicit device reset: every allocation registered in
     /// this session and never freed becomes a `DeviceLeak` finding.
-    pub(crate) fn on_device_reset(&self, device_name: &str) {
+    pub(crate) fn on_device_reset(&self, device_name: &str, metrics: Option<&MetricRegistry>) {
         if !self.tool_on(ToolMask::LEAKCHECK) {
             return;
         }
@@ -415,6 +416,7 @@ impl SanState {
                     ),
                 },
                 (DiagKind::DeviceLeak, rec.id, 0),
+                metrics,
             );
         }
     }
@@ -708,6 +710,8 @@ struct StagedDiagLog {
 pub struct LaunchSan {
     pub(crate) state: Arc<SanState>,
     pub(crate) kernel: String,
+    /// The launching device's metric registry, which counts the findings.
+    metrics: Option<Arc<MetricRegistry>>,
     staged: Mutex<Vec<StagedDiagLog>>,
     /// Cross-block race fold: (alloc id, element) -> access summary.
     /// Per-launch (blocks are unordered only within a launch).
@@ -715,10 +719,15 @@ pub struct LaunchSan {
 }
 
 impl LaunchSan {
-    pub(crate) fn new(state: Arc<SanState>, kernel: &str) -> LaunchSan {
+    pub(crate) fn new(
+        state: Arc<SanState>,
+        kernel: &str,
+        metrics: Option<Arc<MetricRegistry>>,
+    ) -> LaunchSan {
         LaunchSan {
             state,
             kernel: kernel.to_string(),
+            metrics,
             staged: Mutex::new(Vec::new()),
             cells: Mutex::new(HashMap::new()),
         }
@@ -785,7 +794,7 @@ impl LaunchSan {
         staged.sort_by_key(|a| (a.block_rank, a.order));
         for entry in staged {
             for (diag, key) in entry.diags {
-                self.state.record(diag, key);
+                self.state.record(diag, key, self.metrics.as_deref());
             }
         }
 
@@ -818,6 +827,7 @@ impl LaunchSan {
                     ),
                 },
                 (DiagKind::GlobalRace, alloc_id, index),
+                self.metrics.as_deref(),
             );
         }
     }
@@ -848,7 +858,7 @@ mod tests {
     #[test]
     fn dedup_and_cap() {
         let s = SanState::new(ToolMask::ALL);
-        let launch = LaunchSan::new(s.clone(), "k");
+        let launch = LaunchSan::new(s.clone(), "k", None);
         let site = AccessSite { kernel: "k", block: (0, 0, 0), thread: (0, 0, 0), block_rank: 0 };
         let mut log = DiagLog::default();
         for _ in 0..3 {
@@ -875,7 +885,7 @@ mod tests {
         // Two lanes independently hit the same OOB element: each lane log
         // records it, the session dedups at the canonical merge.
         let s = SanState::new(ToolMask::MEMCHECK);
-        let launch = LaunchSan::new(s.clone(), "k");
+        let launch = LaunchSan::new(s.clone(), "k", None);
         for lane in 0..2u32 {
             let site =
                 AccessSite { kernel: "k", block: (0, 0, 0), thread: (lane, 0, 0), block_rank: 0 };
@@ -896,7 +906,7 @@ mod tests {
         s.on_alloc(1, "a".into(), 64);
         s.on_alloc(2, "b".into(), 128);
         s.on_free(1);
-        s.on_device_reset("TestGPU");
+        s.on_device_reset("TestGPU", None);
         let d = s.diagnostics();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].kind, DiagKind::DeviceLeak);
@@ -917,20 +927,20 @@ mod tests {
     fn cross_block_race_requires_distinct_blocks_and_a_write() {
         let s = SanState::new(ToolMask::RACECHECK);
         // Read/read from two blocks: not a race.
-        let launch = LaunchSan::new(s.clone(), "k");
+        let launch = LaunchSan::new(s.clone(), "k", None);
         launch.fold_global_access(7, "buf", 3, party(0, 0, false));
         launch.fold_global_access(7, "buf", 3, party(1, 0, false));
         launch.finish();
         assert_eq!(s.finding_count(), 0);
         // Add a write from one of the blocks: race.
-        let launch = LaunchSan::new(s.clone(), "k");
+        let launch = LaunchSan::new(s.clone(), "k", None);
         launch.fold_global_access(7, "buf", 3, party(0, 0, false));
         launch.fold_global_access(7, "buf", 3, party(1, 0, false));
         launch.fold_global_access(7, "buf", 3, party(0, 0, true));
         launch.finish();
         assert_eq!(s.finding_count(), 1);
         // Same-block write/write in a fresh launch: not a cross-block race.
-        let launch = LaunchSan::new(s.clone(), "k");
+        let launch = LaunchSan::new(s.clone(), "k", None);
         launch.fold_global_access(7, "buf", 5, party(0, 0, true));
         launch.fold_global_access(7, "buf", 5, party(0, 1, true));
         launch.finish();
@@ -944,7 +954,7 @@ mod tests {
         let mut messages = Vec::new();
         for order in [false, true] {
             let s = SanState::new(ToolMask::RACECHECK);
-            let launch = LaunchSan::new(s.clone(), "k");
+            let launch = LaunchSan::new(s.clone(), "k", None);
             let mut seq = accesses.to_vec();
             if order {
                 seq.reverse();

@@ -6,12 +6,13 @@
 //! `nowait` submission to the work it enqueued. This module records the
 //! events those views are built from.
 //!
-//! The attachment follows the ambient pattern the sanitizer and the
-//! memory trace established: a profiling harness installs a [`SpanLog`]
-//! process-wide ([`SpanLog::install`]); while one is active, the language
-//! runtimes (`ompx-klang`, `ompx-hostrt`, `ompx`) record [`Span`]s into it
-//! from their launch/memcpy/task paths. When no log is installed the hot
-//! paths pay one relaxed atomic load.
+//! A [`SpanLog`] is one field of a [`RunContext`]: a device created in a
+//! context that carries a log keeps it, and the language runtimes
+//! (`ompx-klang`, `ompx-hostrt`, `ompx`) record [`Span`]s into the log of
+//! the device their launch/memcpy/task paths operate on. A device without
+//! a log costs those paths one field read. A serving layer stamps one
+//! request's spans with its trace id by setting it on the log
+//! ([`SpanLog::set_trace`]) around the request's execution.
 //!
 //! Timestamps are **modeled seconds**, not wall time: the host track keeps
 //! a cursor that advances by each operation's modeled duration, and each
@@ -21,9 +22,11 @@
 //!
 //! `ompx-prof` converts a span list into a multi-track Chrome/Perfetto
 //! trace (with flow arrows between `flow_out` and `flow_in` pairs).
+//!
+//! [`RunContext`]: crate::context::RunContext
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which timeline track a span belongs to.
@@ -102,43 +105,11 @@ pub struct Span {
     pub flow_in: Option<u64>,
     /// Outgoing flow-arrow id (this span is the arrow's tail).
     pub flow_out: Option<u64>,
-    /// Request-scoped trace id: spans recorded while a trace context is
-    /// set ([`set_trace_context`]) are stamped with it, so one serving
+    /// Request-scoped trace id: spans recorded while the log carries a
+    /// trace id ([`SpanLog::set_trace`]) are stamped with it, so one serving
     /// request's path — batch dispatch, launches, retries, fallbacks —
     /// can be followed across tracks in the exported timeline.
     pub trace: Option<u64>,
-}
-
-/// Cheap gate so un-profiled runs pay one atomic load per hook.
-static SPAN_LOG_ENABLED: AtomicBool = AtomicBool::new(false);
-static ACTIVE_SPAN_LOG: Mutex<Option<Arc<SpanLog>>> = Mutex::new(None);
-
-/// The ambient request-scoped trace id (`0` = none). A serving layer sets
-/// it around one request's execution so every span the runtimes record in
-/// that window — launches, memcpys, retries, fallbacks — carries the id.
-static CURRENT_TRACE: AtomicU64 = AtomicU64::new(0);
-
-/// Set (or clear, with `None`) the ambient trace id stamped onto every
-/// span recorded until the next call. Ids are caller-chosen and must be
-/// non-zero (zero is the "no trace" sentinel).
-pub fn set_trace_context(trace: Option<u64>) {
-    CURRENT_TRACE.store(trace.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The ambient trace id, if one is set.
-pub fn current_trace() -> Option<u64> {
-    match CURRENT_TRACE.load(Ordering::Relaxed) {
-        0 => None,
-        id => Some(id),
-    }
-}
-
-/// The process-wide span log a profiling harness installs, if any.
-pub fn active() -> Option<Arc<SpanLog>> {
-    if !SPAN_LOG_ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    ACTIVE_SPAN_LOG.lock().clone()
 }
 
 /// A shared, thread-safe, append-only span collector.
@@ -149,6 +120,8 @@ pub struct SpanLog {
     /// Modeled-time cursor of the helper-thread (task) track.
     task_cursor_s: Mutex<f64>,
     next_flow: AtomicU64,
+    /// Request-scoped trace id stamped onto recorded spans (`0` = none).
+    trace: AtomicU64,
 }
 
 impl SpanLog {
@@ -159,29 +132,25 @@ impl SpanLog {
             host_cursor_s: Mutex::new(0.0),
             task_cursor_s: Mutex::new(0.0),
             next_flow: AtomicU64::new(1),
+            trace: AtomicU64::new(0),
         })
     }
 
-    /// Install `log` as the process-wide active span log. Returns the
-    /// previously installed log, if any (callers are expected to
-    /// serialize profiled runs, as `ompx-hecbench` does).
-    pub fn install(log: Arc<SpanLog>) -> Option<Arc<SpanLog>> {
-        let prev = ACTIVE_SPAN_LOG.lock().replace(log);
-        SPAN_LOG_ENABLED.store(true, Ordering::Relaxed);
-        prev
+    /// Set (or clear, with `None`) the trace id stamped onto every span
+    /// recorded until the next call. Ids are caller-chosen and must be
+    /// non-zero (zero is the "no trace" sentinel).
+    pub fn set_trace(&self, trace: Option<u64>) {
+        self.trace.store(trace.unwrap_or(0), Ordering::Relaxed);
     }
 
-    /// Remove and return the active span log.
-    pub fn uninstall() -> Option<Arc<SpanLog>> {
-        SPAN_LOG_ENABLED.store(false, Ordering::Relaxed);
-        ACTIVE_SPAN_LOG.lock().take()
-    }
-
-    /// Append a fully described span, stamping the ambient trace id onto
+    /// Append a fully described span, stamping the log's trace id onto
     /// spans that do not already carry one.
     pub fn record(&self, mut span: Span) {
         if span.trace.is_none() {
-            span.trace = current_trace();
+            span.trace = match self.trace.load(Ordering::Relaxed) {
+                0 => None,
+                id => Some(id),
+            };
         }
         self.spans.lock().push(span);
     }
@@ -356,20 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn install_gates_the_ambient_hook() {
-        // Not installed: hook sees nothing (other tests may race on the
-        // global, so only assert the install/uninstall round trip).
-        let log = SpanLog::new();
-        let prev = SpanLog::install(Arc::clone(&log));
-        assert!(active().is_some());
-        let got = SpanLog::uninstall().expect("a log was installed");
-        assert!(Arc::ptr_eq(&got, &log));
-        if let Some(p) = prev {
-            SpanLog::install(p);
-        }
-    }
-
-    #[test]
     fn device_spans_land_on_their_member_track() {
         let log = SpanLog::new();
         let flow = log.host_op_flow("dispatch batch", SpanCategory::Task, 0.0, 0);
@@ -384,9 +339,9 @@ mod tests {
     fn trace_context_stamps_recorded_spans() {
         let log = SpanLog::new();
         log.host_op("before", SpanCategory::HostOp, 0.0, 0);
-        set_trace_context(Some(41));
+        log.set_trace(Some(41));
         log.host_op("traced", SpanCategory::Kernel, 1e-6, 0);
-        set_trace_context(None);
+        log.set_trace(None);
         log.host_op("after", SpanCategory::HostOp, 0.0, 0);
         let spans = log.spans();
         assert_eq!(spans[0].trace, None);

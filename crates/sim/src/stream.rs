@@ -19,15 +19,11 @@ use std::sync::Arc;
 
 type Work = Box<dyn FnOnce() + Send>;
 
-/// Process-wide stream id allocator: ids name per-stream tracks in
-/// profiler timelines and stay unique for the life of the process.
-static NEXT_STREAM_ID: AtomicU64 = AtomicU64::new(1);
-
 /// Utilization/overlap counters of one stream, as a plain snapshot — the
 /// public stats API `ompx-prof` reports stream overlap from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamStats {
-    /// Process-unique stream id (profiler track id).
+    /// Stream id, unique within its run context (profiler track id).
     pub id: u64,
     /// Operations enqueued over the stream's lifetime.
     pub submitted: u64,
@@ -60,9 +56,9 @@ pub(crate) struct StreamInner {
 }
 
 impl StreamInner {
-    fn new() -> Arc<Self> {
+    fn new(id: u64) -> Arc<Self> {
         Arc::new(StreamInner {
-            id: NEXT_STREAM_ID.fetch_add(1, Ordering::Relaxed),
+            id,
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             submitted: AtomicU64::new(0),
@@ -162,7 +158,7 @@ pub struct Stream {
 impl Stream {
     /// Create a stream on `device`; spawns the stream's worker thread.
     pub fn new(device: &Device) -> Self {
-        let inner = StreamInner::new();
+        let inner = StreamInner::new(device.ids().next_stream());
         device.inner.streams.lock().push(Arc::downgrade(&inner));
         {
             let inner = Arc::clone(&inner);
@@ -196,9 +192,9 @@ impl Stream {
     }
 
     /// Add modeled device-busy seconds *and* record a named span at the
-    /// timeline position the work occupied, if a profiler span log is
-    /// installed ([`crate::span::SpanLog::install`]). `flow_in` ties the
-    /// span to the host-side submission that enqueued it.
+    /// timeline position the work occupied, if the stream's device has a
+    /// profiler span log. `flow_in` ties the span to the host-side
+    /// submission that enqueued it.
     pub fn add_modeled_span(
         &self,
         name: &str,
@@ -213,7 +209,7 @@ impl Stream {
             *busy += seconds;
             start
         };
-        if let Some(log) = crate::span::active() {
+        if let Some(log) = self.device.span_log() {
             log.stream_span(self.inner.id, name, cat, start_s, seconds, bytes, flow_in);
         }
     }
@@ -223,7 +219,8 @@ impl Stream {
         *self.inner.modeled_busy_s.lock()
     }
 
-    /// Process-unique stream id (names this stream's profiler track).
+    /// Stream id, unique within its run context (names this stream's
+    /// profiler track).
     pub fn id(&self) -> u64 {
         self.inner.id
     }
@@ -257,9 +254,7 @@ impl Stream {
             self.try_synchronize()
         });
         if result.is_err() {
-            if let Some(f) = self.device.faults() {
-                f.note_degraded("stream sync");
-            }
+            self.device.note_degraded("stream sync");
         }
     }
 
@@ -497,18 +492,14 @@ mod tests {
     }
 
     #[test]
-    fn add_modeled_span_records_to_installed_log() {
+    fn add_modeled_span_records_to_the_device_log() {
+        use crate::context::RunContext;
         use crate::span::{SpanCategory, SpanLog, Track};
-        let d = dev();
-        let s = Stream::new(&d);
         let log = SpanLog::new();
-        let prev = SpanLog::install(Arc::clone(&log));
+        let d = RunContext { span_log: Some(Arc::clone(&log)), ..Default::default() }.scope(dev);
+        let s = Stream::new(&d);
         s.add_modeled_span("k1", SpanCategory::Kernel, 2e-3, 0, None);
         s.add_modeled_span("cpy", SpanCategory::MemcpyH2D, 1e-3, 4096, Some(9));
-        SpanLog::uninstall();
-        if let Some(p) = prev {
-            SpanLog::install(p);
-        }
         assert!((s.modeled_busy_seconds() - 3e-3).abs() < 1e-12);
         let spans: Vec<_> =
             log.spans().into_iter().filter(|sp| sp.track == Track::Stream(s.id())).collect();

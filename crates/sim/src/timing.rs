@@ -34,7 +34,6 @@
 
 use crate::counters::StatsSnapshot;
 use crate::device::DeviceProfile;
-use serde::{Deserialize, Serialize};
 
 /// Compiler-produced properties of a kernel that gate performance.
 ///
@@ -42,7 +41,7 @@ use serde::{Deserialize, Serialize};
 /// or ROCm's `-Rpass-analysis=kernel-resource-usage`; here they are data
 /// supplied by the toolchain model (`ompx-klang::toolchain`), with the
 /// paper-reported values for the kernels the paper profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodegenInfo {
     /// Registers allocated per thread.
     pub regs_per_thread: u32,
@@ -84,7 +83,7 @@ impl Default for CodegenInfo {
 /// executed (already *counted* in the stats by `ompx-devicert`; the knobs
 /// here cover the parts that are not event-shaped, like launch-time runtime
 /// initialization).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModeOverheads {
     /// Extra launch latency in seconds on top of the device's base latency
     /// (device runtime initialization, kernel-state setup).
@@ -111,7 +110,7 @@ impl Default for ModeOverheads {
 }
 
 /// Occupancy analysis result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Occupancy {
     /// Resident blocks per SM permitted by all limits.
     pub blocks_per_sm: u32,
@@ -122,7 +121,7 @@ pub struct Occupancy {
 }
 
 /// The resource that bounds occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OccupancyLimiter {
     Registers,
     SharedMemory,
@@ -167,7 +166,7 @@ pub fn occupancy(
 }
 
 /// Modeled execution time with a component breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ModeledTime {
     /// Total modeled seconds.
     pub seconds: f64,

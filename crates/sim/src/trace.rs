@@ -11,10 +11,9 @@
 use crate::counters::StatsSnapshot;
 use crate::dim::Dim3;
 use parking_lot::Mutex;
-use serde::Serialize;
 
 /// One kernel execution, as recorded by the tracer.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LaunchRecord {
     /// Kernel name.
     pub kernel: String,
@@ -95,9 +94,6 @@ impl Trace {
     /// track, one track per stream, flow arrows, memcpy bars — is built by
     /// `ompx-prof` from [`crate::span::SpanLog`] events.
     pub fn to_chrome_trace(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let recs = self.records.lock();
         let mut out = String::from("[\n");
         out.push_str(concat!(
@@ -116,7 +112,7 @@ impl Trace {
                     "\"block\":\"{}x{}x{}\",\"flops\":{},\"global_bytes\":{},",
                     "\"modeled_seconds\":{:e},\"runtime_attributed\":{}}}}}{}\n"
                 ),
-                escape(&r.kernel),
+                ompx_telemetry::json_escape(&r.kernel),
                 cursor_us,
                 dur_us,
                 r.grid.x,

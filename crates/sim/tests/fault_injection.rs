@@ -23,7 +23,10 @@ fn fill_kernel(out: &ompx_sim::mem::DBuf<u32>, n: usize) -> Kernel {
 
 #[test]
 fn injected_launch_fault_recovers_via_retry_with_span_evidence() {
-    let d = device();
+    // The log is this device's alone: no launch elsewhere can write into it.
+    let log = SpanLog::new();
+    let d = RunContext { span_log: Some(std::sync::Arc::clone(&log)), ..Default::default() }
+        .scope(device);
     let plan = FaultPlan::none().with_injection(FaultSite::Launch, 0, FaultKind::LaunchFail);
     let faults = FaultState::new(plan);
     d.attach_faults(std::sync::Arc::clone(&faults));
@@ -31,17 +34,11 @@ fn injected_launch_fault_recovers_via_retry_with_span_evidence() {
     let n = 64usize;
     let out = d.alloc::<u32>(n);
     let kernel = fill_kernel(&out, n);
-    let log = SpanLog::new();
-    let prev = SpanLog::install(std::sync::Arc::clone(&log));
 
     let policy = d.retry_policy();
     let stats =
         run_with_retry(&d, &policy, "fill", || d.launch(&kernel, LaunchConfig::new(2u32, 32u32)))
             .expect("the default retry budget must outlast a single-shot injection");
-    match prev {
-        Some(p) => drop(SpanLog::install(p)),
-        None => drop(SpanLog::uninstall()),
-    }
     assert_eq!(stats.threads_executed, 64);
     assert_eq!(out.to_vec()[10], 20);
 

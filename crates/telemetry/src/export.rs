@@ -14,7 +14,28 @@ use crate::registry::{MetricKind, MetricValue, Snapshot};
 pub const EXPORT_QUANTILES: [(f64, &str, &str); 3] =
     [(0.5, "0.5", "p50"), (0.95, "0.95", "p95"), (0.99, "0.99", "p99")];
 
-fn escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON string literal: `\"`, `\\`,
+/// `\n`, `\t`, and every other character below U+0020 as `\u00XX`. The
+/// one JSON escaper of the workspace — every JSON document the CLIs, the
+/// profiler and the exporters write goes through it.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Escape a Prometheus label value as the text exposition format
+/// specifies: backslash, double quote and line feed only.
+fn label_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -29,9 +50,9 @@ fn escape(s: &str) -> String {
 
 fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
     let mut parts: Vec<String> =
-        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape(v))).collect();
+        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", label_escape(v))).collect();
     if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape(v)));
+        parts.push(format!("{k}=\"{}\"", label_escape(v)));
     }
     if parts.is_empty() {
         String::new()
@@ -92,12 +113,12 @@ pub fn to_json(snap: &Snapshot) -> String {
         let labels = s
             .labels
             .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
+            .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
             .collect::<Vec<_>>()
             .join(",");
         out.push_str(&format!(
             "    {{\"name\":\"{}\",\"type\":\"{}\",\"labels\":{{{labels}}},",
-            escape(&s.name),
+            json_escape(&s.name),
             kind.label()
         ));
         match &s.value {
@@ -162,6 +183,25 @@ mod tests {
         assert!(a.contains("\"name\":\"serve_requests_total\",\"type\":\"counter\""));
         assert!(a.contains("\"type\":\"summary\""));
         assert!(a.contains("\"p95\":"));
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("memcpy \"H2D\""), "memcpy \\\"H2D\\\"");
+        assert_eq!(json_escape("x\n\"y\""), "x\\n\\\"y\\\"");
+        assert_eq!(json_escape("a\tb\rc\u{1}\u{1f}"), "a\\tb\\u000dc\\u0001\\u001f");
+        assert_eq!(json_escape("plain µs ×4"), "plain µs ×4");
+    }
+
+    #[test]
+    fn label_escape_follows_the_exposition_format() {
+        let reg = MetricRegistry::new();
+        reg.counter_add("x_total", &[("k", "a\"b\\c\nd\te")], 1);
+        let text = to_prometheus(&reg.snapshot());
+        assert!(text.contains("x_total{k=\"a\\\"b\\\\c\\nd\te\"} 1"), "{text}");
+        let json = to_json(&reg.snapshot());
+        assert!(json.contains("\"k\":\"a\\\"b\\\\c\\nd\\te\""), "{json}");
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //! bit-identical snapshots, which CI diffs directly. A metric here is as
 //! reproducible as a checksum.
 //!
-//! Attachment follows the ambient pattern the sanitizer, memory trace,
-//! span log and fault state established: a harness installs a registry
-//! process-wide ([`install`]); while one is active, the substrate and the
-//! serving layer record into it ([`active`]); with none installed the
-//! hooks pay one relaxed atomic load. `ompx-hecbench`'s `ChaosSession`
-//! installs a fresh registry per session, so every chaos and serve run is
-//! metered without further wiring.
+//! A registry is passed, never installed: a harness hands it to the
+//! simulator as one field of `ompx_sim`'s `RunContext`, every device
+//! created in that context counts its launches, memcpys, injected faults
+//! and sanitizer findings into it, and the serving layer records into the
+//! registry its session holds. A device without a registry costs its hooks
+//! one field read. `ompx-hecbench`'s `ChaosSession` creates a fresh
+//! registry per session, so every chaos and serve run is metered without
+//! further wiring. [`json_escape`] is the workspace's one JSON string
+//! escaper; it lives here, at the bottom of the dependency graph.
 //!
 //! Family naming: `sim_*` (launches, memcpys), `fault_*` (injections and
 //! recoveries by kind/site), `sanitizer_findings_total` / `findings_total`
@@ -35,41 +37,10 @@ pub mod hist;
 pub mod percentile;
 pub mod registry;
 
-pub use export::{to_json, to_prometheus};
+pub use export::{json_escape, to_json, to_prometheus};
 pub use hist::{LogLinearHistogram, DEFAULT_REL_ERR};
 pub use percentile::percentile_interp;
 pub use registry::{Labels, MetricKind, MetricRegistry, MetricValue, Sample, Snapshot};
-
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-/// Cheap gate so un-metered runs pay one atomic load per hook.
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-static ACTIVE_REGISTRY: Mutex<Option<Arc<MetricRegistry>>> = Mutex::new(None);
-
-/// The process-wide registry a harness installed, if any.
-pub fn active() -> Option<Arc<MetricRegistry>> {
-    if !METRICS_ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    ACTIVE_REGISTRY.lock().clone()
-}
-
-/// Install `reg` as the process-wide active registry. Returns the
-/// previously installed registry, if any (callers are expected to
-/// serialize metered runs, as `ompx-hecbench`'s session gate does).
-pub fn install(reg: Arc<MetricRegistry>) -> Option<Arc<MetricRegistry>> {
-    let prev = ACTIVE_REGISTRY.lock().replace(reg);
-    METRICS_ENABLED.store(true, Ordering::Relaxed);
-    prev
-}
-
-/// Remove and return the active registry.
-pub fn uninstall() -> Option<Arc<MetricRegistry>> {
-    METRICS_ENABLED.store(false, Ordering::Relaxed);
-    ACTIVE_REGISTRY.lock().take()
-}
 
 /// Pre-declare every metric family the stack records, so exporters emit
 /// the full surface (with `HELP`/`TYPE` headers) even for families a
@@ -117,57 +88,9 @@ pub fn describe_base_families(reg: &MetricRegistry) {
     }
 }
 
-/// Run `f` with a fresh registry installed, returning its result and the
-/// snapshot. Test helper; does **not** hold the cross-harness run gate
-/// (use `ompx-hecbench`'s session types for that).
-pub fn with_metrics<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
-    let reg = MetricRegistry::new();
-    describe_base_families(&reg);
-    let prev = install(Arc::clone(&reg));
-    /// Uninstalls the ambient registry even if `f` panics.
-    struct Uninstall(Option<Arc<MetricRegistry>>);
-    impl Drop for Uninstall {
-        fn drop(&mut self) {
-            uninstall();
-            if let Some(prev) = self.0.take() {
-                install(prev);
-            }
-        }
-    }
-    let _guard = Uninstall(prev);
-    let result = f();
-    (result, reg.snapshot())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn install_gates_the_ambient_hook() {
-        let reg = MetricRegistry::new();
-        let prev = install(Arc::clone(&reg));
-        assert!(active().is_some());
-        active().unwrap().counter_add("x_total", &[], 1);
-        let got = uninstall().expect("a registry was installed");
-        assert_eq!(got.snapshot().counter("x_total", &[]), 1);
-        if let Some(p) = prev {
-            install(p);
-        }
-    }
-
-    #[test]
-    fn with_metrics_scopes_a_fresh_registry() {
-        let ((), snap) = with_metrics(|| {
-            if let Some(reg) = active() {
-                reg.counter_add("scoped_total", &[("k", "v")], 3);
-            }
-        });
-        assert_eq!(snap.counter("scoped_total", &[("k", "v")]), 3);
-        // Base families are pre-declared even though nothing recorded them.
-        assert!(snap.families.contains_key("fault_injected_total"));
-        assert!(snap.families.contains_key("serve_latency_seconds"));
-    }
 
     #[test]
     fn base_families_render_in_both_exporters() {

@@ -18,7 +18,7 @@ use ompx_klang::blaslib::{sdot, BlasVendor};
 use ompx_klang::cuda::cuda_context_clang;
 use ompx_sanitizer::fixtures;
 use ompx_sim::exec;
-use ompx_sim::memtrace::{BarrierEvent, MemEvent, MemSpace};
+use ompx_sim::memtrace::{BarrierEvent, MemEvent};
 use std::sync::Mutex;
 
 /// Bit-identity is claimed for *every* run, so probe more than once or
@@ -33,17 +33,9 @@ const WORKERS: usize = 4;
 /// Serializes the tests: `exec::set_global_workers` is process-global.
 static WORKER_GATE: Mutex<()> = Mutex::new(());
 
-/// Canonical bytes of a trace. Allocation ids come from a process-global
-/// counter and differ between runs by construction, so they are
-/// renumbered in first-appearance order before serializing.
-fn canonical_trace(mut events: Vec<MemEvent>, barriers: Vec<BarrierEvent>) -> String {
-    let mut dense: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    for e in &mut events {
-        if let MemSpace::Global { alloc_id, .. } = &mut e.space {
-            let next = dense.len();
-            *alloc_id = *dense.entry(*alloc_id).or_insert(next);
-        }
-    }
+/// Bytes of a trace, allocation ids included: each traced run numbers its
+/// allocations from its own run context, so they repeat run to run.
+fn canonical_trace(events: Vec<MemEvent>, barriers: Vec<BarrierEvent>) -> String {
     let mut out = String::new();
     for e in &events {
         out.push_str(&format!("{e:?}\n"));

@@ -74,3 +74,24 @@ proptest! {
         }
     }
 }
+
+/// Every JSON writer shares one escaper: a metric label carrying a tab and
+/// a kernel named across a line break both come back intact through the
+/// workspace's JSON reader.
+#[test]
+fn control_characters_round_trip_through_jsonio() {
+    let reg = MetricRegistry::new();
+    reg.counter_add("x_total", &[("k", "a\tb")], 1);
+    let doc = jsonio::parse(&to_json(&reg.snapshot())).expect("metrics JSON parses");
+    let metrics = doc.get("metrics").and_then(|j| j.as_arr()).expect("metrics array");
+    let label = entry(metrics, "x_total").get("labels").and_then(|l| l.get("k"));
+    assert_eq!(label.and_then(|j| j.as_str()), Some("a\tb"));
+
+    let dev = ompx_sim::Device::new(ompx_sim::DeviceProfile::test_small());
+    dev.enable_tracing();
+    let kernel = ompx_sim::Kernel::new("a\nb", |_| {});
+    dev.launch(&kernel, ompx_sim::LaunchConfig::linear(4, 2)).expect("launch");
+    let trace = jsonio::parse(&dev.trace().to_chrome_trace()).expect("Chrome trace parses");
+    let events = trace.as_arr().expect("event array");
+    assert!(events.iter().any(|e| e.get("name").and_then(|j| j.as_str()) == Some("a\nb")));
+}
