@@ -31,6 +31,7 @@
 use ompx_analyzer::{
     analyze, describe, fixtures, to_rust_literal, validate_events, warp_size_for, DiffClass,
 };
+use ompx_bench::cli::{write_file, Args, CliError};
 use ompx_hecbench::extraction::extract_cell;
 use ompx_hecbench::summaries::{replay_events, summary_for, version_str};
 use ompx_hecbench::{ProgVersion, System, APP_NAMES};
@@ -39,9 +40,10 @@ use ompx_sanitizer::Finding;
 use ompx_sim::context::RunContext;
 use ompx_telemetry::{json_escape, MetricRegistry};
 
-fn usage() -> ! {
+fn usage(e: &CliError) -> ! {
     eprintln!(
-        "usage: analyze [extract] [--app <name>] [--version ompx|omp|native|vendor]\n\
+        "analyze: {e}\n\
+         usage: analyze [extract] [--app <name>] [--version ompx|omp|native|vendor]\n\
          \x20              [--system nvidia|amd] [--replay] [--emit-rust] [--diff]\n\
          \x20              [--fixture <name> | --list-fixtures] [--json] [--out FILE]\n\
          \x20              [--metrics-out FILE]\n\
@@ -67,9 +69,9 @@ struct Opts {
     metrics_out: Option<String>,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse(mut a: Args) -> Result<Opts, CliError> {
     let mut o = Opts {
-        extract: false,
+        extract: a.eat("extract"),
         apps: APP_NAMES.iter().map(|s| s.to_string()).collect(),
         versions: ProgVersion::all().to_vec(),
         system: System::Nvidia,
@@ -81,47 +83,16 @@ fn parse(args: &[String]) -> Opts {
         out: None,
         metrics_out: None,
     };
-    let mut i = 0;
-    if args.first().map(String::as_str) == Some("extract") {
-        o.extract = true;
-        i = 1;
-    }
-    while i < args.len() {
-        match args[i].as_str() {
-            "--app" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) if APP_NAMES.contains(&a.as_str()) => o.apps = vec![a.clone()],
-                    _ => usage(),
-                }
-            }
-            "--version" => {
-                i += 1;
-                o.versions = match args.get(i).map(String::as_str) {
-                    Some("ompx") => vec![ProgVersion::Ompx],
-                    Some("omp") => vec![ProgVersion::Omp],
-                    Some("native") => vec![ProgVersion::Native],
-                    Some("vendor") => vec![ProgVersion::NativeVendor],
-                    _ => usage(),
-                };
-            }
-            "--system" => {
-                i += 1;
-                o.system = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => System::Nvidia,
-                    Some("amd") => System::Amd,
-                    _ => usage(),
-                };
-            }
+    while let Some(flag) = a.next_flag() {
+        match flag.as_str() {
+            "--app" => o.apps = vec![a.app()?.to_string()],
+            "--version" => o.versions = vec![a.version()?],
+            "--system" => o.system = a.system()?,
             "--replay" => o.replay = true,
             "--emit-rust" if o.extract => o.emit_rust = true,
             "--diff" if o.extract => o.diff = true,
             "--fixture" if !o.extract => {
-                i += 1;
-                match args.get(i) {
-                    Some(f) if fixtures::by_name(f).is_some() => o.fixture = Some(f.clone()),
-                    _ => usage(),
-                }
+                o.fixture = Some(a.parse_with(|f| fixtures::by_name(f).map(|_| f.to_string()))?)
             }
             "--list-fixtures" => {
                 for f in &fixtures::ALL {
@@ -130,25 +101,12 @@ fn parse(args: &[String]) -> Opts {
                 std::process::exit(0);
             }
             "--json" => o.json = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--metrics-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.metrics_out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            _ => usage(),
+            "--out" => o.out = Some(a.value()?),
+            "--metrics-out" => o.metrics_out = Some(a.value()?),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    o
+    Ok(o)
 }
 
 /// Splice extra top-level fields (a pre-rendered `"key": value,` block)
@@ -161,26 +119,18 @@ fn with_fields(findings: &[Finding], extra: &str) -> String {
     }
 }
 
-fn write_out(o: &Opts, doc: &str) -> i32 {
+fn write_out(o: &Opts, doc: &str) {
     if let Some(path) = &o.out {
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("analyze: cannot write {path}: {e}");
-            return 2;
-        }
+        write_file("analyze", path, doc);
     }
-    0
 }
 
 /// Write the run's metrics snapshot (if `--metrics-out` asked for one) as
 /// Prometheus text.
-fn flush_metrics(o: &Opts, reg: Option<&MetricRegistry>) -> i32 {
-    let (Some(path), Some(reg)) = (&o.metrics_out, reg) else { return 0 };
-    let text = ompx_telemetry::to_prometheus(&reg.snapshot());
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("analyze: cannot write {path}: {e}");
-        return 2;
+fn flush_metrics(o: &Opts, reg: Option<&MetricRegistry>) {
+    if let (Some(path), Some(reg)) = (&o.metrics_out, reg) {
+        write_file("analyze", path, &ompx_telemetry::to_prometheus(&reg.snapshot()));
     }
-    0
 }
 
 fn emit(
@@ -200,10 +150,7 @@ fn emit(
         println!("========= {header}");
         print!("{}", render_text(findings));
     }
-    let w = write_out(o, &doc);
-    if w != 0 {
-        return w;
-    }
+    write_out(o, &doc);
     exit_code(findings)
 }
 
@@ -289,10 +236,7 @@ fn run_extract(o: &Opts, reg: Option<&MetricRegistry>) -> i32 {
                 extra.push_str(&format!("  \"accepted\": {},\n", failures.is_empty()));
                 let doc = with_fields(&findings, &extra);
                 print!("{doc}");
-                let w = write_out(o, &doc);
-                if w != 0 {
-                    return w;
-                }
+                write_out(o, &doc);
             } else {
                 println!("========= {header}");
                 if o.emit_rust {
@@ -329,8 +273,7 @@ fn run_extract(o: &Opts, reg: Option<&MetricRegistry>) -> i32 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse(Args::from_env()).unwrap_or_else(|e| usage(&e));
     // With --metrics-out, every device the run builds counts into one
     // registry, alongside the report-time `findings_total` rollup.
     let registry = o.metrics_out.as_ref().map(|_| {
@@ -340,7 +283,8 @@ fn main() {
     });
     let ctx = RunContext { metrics: registry.clone(), ..Default::default() };
     let code = ctx.scope(|| run(&o, registry.as_deref()));
-    std::process::exit(flush_metrics(&o, registry.as_deref()).max(code));
+    flush_metrics(&o, registry.as_deref());
+    std::process::exit(code);
 }
 
 fn run(o: &Opts, reg: Option<&MetricRegistry>) -> i32 {

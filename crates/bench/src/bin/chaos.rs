@@ -22,14 +22,16 @@
 //! in the same `{tool, kernel, location, severity, message}` schema the
 //! sanitizer and analyzer CLIs emit, and drive the non-zero exit code.
 
+use ompx_bench::cli::{write_file, Args, CliError};
 use ompx_hecbench::{run_app_chaos, ProgVersion, System, WorkScale, APP_NAMES};
 use ompx_sanitizer::report::{exit_code, render_json, render_text};
 use ompx_sanitizer::{Finding, Severity};
 use ompx_sim::fault::{FaultKind, FaultPlan, FaultSite};
 
-fn usage() -> ! {
+fn usage(e: &CliError) -> ! {
     eprintln!(
-        "usage: chaos [--seed N] [--schedules N] [--rate F]\n\
+        "chaos: {e}\n\
+         usage: chaos [--seed N] [--schedules N] [--rate F]\n\
          \x20            [--app <name>] [--system nvidia|amd]\n\
          \x20            [--version ompx|omp|native|vendor]\n\
          \x20            [--only watchdog] [--test-scale] [--json] [--out FILE]\n\
@@ -52,7 +54,7 @@ struct Opts {
     out: Option<String>,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse(mut a: Args) -> Result<Opts, CliError> {
     let mut o = Opts {
         seed: 20260807,
         schedules: 5,
@@ -65,76 +67,26 @@ fn parse(args: &[String]) -> Opts {
         json: false,
         out: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                o.seed = match args.get(i).map(|s| s.parse()) {
-                    Some(Ok(n)) => n,
-                    _ => usage(),
-                };
-            }
-            "--schedules" => {
-                i += 1;
-                o.schedules = match args.get(i).map(|s| s.parse()) {
-                    Some(Ok(n)) if n > 0 => n,
-                    _ => usage(),
-                };
-            }
+    while let Some(flag) = a.next_flag() {
+        match flag.as_str() {
+            "--seed" => o.seed = a.parse()?,
+            "--schedules" => o.schedules = a.parse_with(|s| s.parse().ok().filter(|&n| n > 0))?,
             "--rate" => {
-                i += 1;
-                o.rate = match args.get(i).map(|s| s.parse::<f64>()) {
-                    Some(Ok(r)) if (0.0..=1.0).contains(&r) => r,
-                    _ => usage(),
-                };
+                o.rate = a.parse_with(|s| s.parse().ok().filter(|r| (0.0..=1.0).contains(r)))?
             }
-            "--app" => {
-                i += 1;
-                match args.get(i).and_then(|a| APP_NAMES.iter().find(|n| **n == a.as_str())) {
-                    Some(name) => o.apps = vec![name],
-                    None => usage(),
-                }
-            }
-            "--system" => {
-                i += 1;
-                o.systems = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => vec![System::Nvidia],
-                    Some("amd") => vec![System::Amd],
-                    _ => usage(),
-                };
-            }
-            "--version" => {
-                i += 1;
-                o.versions = match args.get(i).map(String::as_str) {
-                    Some("ompx") => vec![ProgVersion::Ompx],
-                    Some("omp") => vec![ProgVersion::Omp],
-                    Some("native") => vec![ProgVersion::Native],
-                    Some("vendor") => vec![ProgVersion::NativeVendor],
-                    _ => usage(),
-                };
-            }
+            "--app" => o.apps = vec![a.app()?],
+            "--system" => o.systems = vec![a.system()?],
+            "--version" => o.versions = vec![a.version()?],
             "--only" => {
-                i += 1;
-                o.only = match args.get(i).map(String::as_str) {
-                    Some("watchdog") => Some(FaultKind::Watchdog),
-                    _ => usage(),
-                };
+                o.only = Some(a.parse_with(|s| (s == "watchdog").then_some(FaultKind::Watchdog))?)
             }
             "--test-scale" => o.scale = WorkScale::Test,
             "--json" => o.json = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            _ => usage(),
+            "--out" => o.out = Some(a.value()?),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    o
+    Ok(o)
 }
 
 /// Running totals across the whole matrix, printed as the summary tail.
@@ -161,8 +113,7 @@ fn finding(cell: &str, seed: u64, schedule: u64, severity: Severity, message: St
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse(Args::from_env()).unwrap_or_else(|e| usage(&e));
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut tally = Tally::default();
@@ -311,10 +262,7 @@ fn main() {
         );
     }
     if let Some(path) = &o.out {
-        if let Err(e) = std::fs::write(path, render_json(&findings)) {
-            eprintln!("chaos: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
+        write_file("chaos", path, &render_json(&findings));
     }
     std::process::exit(exit_code(&findings));
 }

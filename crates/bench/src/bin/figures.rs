@@ -12,12 +12,14 @@
 //! Add `--test-scale` to use the tiny unit-test workloads (fast, identical
 //! orderings, coarser absolute numbers).
 
+use ompx_bench::cli::{Args, CliError};
 use ompx_bench::{print_fig6, print_fig7, print_fig8, print_fig8_all};
 use ompx_hecbench::{System, WorkScale, APP_NAMES};
 
-fn usage() -> ! {
+fn usage(e: &CliError) -> ! {
     eprintln!(
-        "usage: figures <fig6|fig7|fig8|all|verify|shapecheck> [--system nvidia|amd] [--app NAME] \
+        "figures: {e}\n\
+         usage: figures <fig6|fig7|fig8|all|verify|shapecheck> [--system nvidia|amd] [--app NAME] \
          [--csv PATH] [--test-scale]\n\
          apps: {}",
         APP_NAMES.join(", ")
@@ -25,45 +27,32 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let mut system: Option<System> = None;
-    let mut app: Option<String> = None;
-    let mut scale = WorkScale::Default;
-    let mut csv: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--csv" => {
-                i += 1;
-                csv = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-                i += 1;
-                continue;
-            }
-            "--system" => {
-                i += 1;
-                system = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => Some(System::Nvidia),
-                    Some("amd") => Some(System::Amd),
-                    _ => usage(),
-                };
-            }
-            "--app" => {
-                i += 1;
-                let a = args.get(i).cloned().unwrap_or_else(|| usage());
-                if !APP_NAMES.contains(&a.as_str()) {
-                    usage();
-                }
-                app = Some(a);
-            }
-            "--test-scale" => scale = WorkScale::Test,
-            _ => usage(),
+struct Opts {
+    command: String,
+    system: Option<System>,
+    app: Option<&'static str>,
+    scale: WorkScale,
+    csv: Option<String>,
+}
+
+fn parse(mut a: Args) -> Result<Opts, CliError> {
+    let command = a.next_flag().ok_or(CliError::Usage("a figure or command is required"))?;
+    let mut o = Opts { command, system: None, app: None, scale: WorkScale::Default, csv: None };
+    while let Some(flag) = a.next_flag() {
+        match flag.as_str() {
+            "--csv" => o.csv = Some(a.value()?),
+            "--system" => o.system = Some(a.system()?),
+            "--app" => o.app = Some(a.app()?),
+            "--test-scale" => o.scale = WorkScale::Test,
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
+    Ok(o)
+}
+
+fn main() {
+    let Opts { command, system, app, scale, csv } =
+        parse(Args::from_env()).unwrap_or_else(|e| usage(&e));
 
     let systems = match system {
         Some(s) => vec![s],
@@ -80,7 +69,7 @@ fn main() {
         return;
     }
 
-    match args[0].as_str() {
+    match command.as_str() {
         "fig6" => print_fig6(),
         "fig7" => print_fig7(),
         "shapecheck" => {
@@ -118,7 +107,7 @@ fn main() {
         }
         "fig8" => {
             for sys in systems {
-                match &app {
+                match app {
                     Some(a) => print_fig8(a, sys, scale),
                     None => print_fig8_all(sys, scale),
                 }
@@ -133,6 +122,6 @@ fn main() {
                 print_fig8_all(sys, scale);
             }
         }
-        _ => usage(),
+        _ => usage(&CliError::Unknown { arg: command }),
     }
 }

@@ -8,54 +8,49 @@
 //! hecbench adam                      # all versions on both systems
 //! ```
 
+use ompx_bench::cli::{self, Args, CliError};
 use ompx_hecbench::{run_app, ProgVersion, System, WorkScale, APP_NAMES};
 
-fn usage() -> ! {
+fn usage(e: &CliError) -> ! {
     eprintln!(
-        "usage: hecbench <app> [--system nvidia|amd] [--version ompx|omp|native|vendor] [--test-scale]\n\
+        "hecbench: {e}\n\
+         usage: hecbench <app> [--system nvidia|amd] [--version ompx|omp|native|vendor] [--test-scale]\n\
          apps: {}",
         APP_NAMES.join(", ")
     );
     std::process::exit(2);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(app) = args.first() else { usage() };
-    if !APP_NAMES.contains(&app.as_str()) {
-        usage();
-    }
+struct Opts {
+    app: &'static str,
+    systems: Vec<System>,
+    versions: Vec<ProgVersion>,
+    scale: WorkScale,
+}
 
-    let mut systems = vec![System::Nvidia, System::Amd];
-    let mut versions = ProgVersion::all().to_vec();
-    let mut scale = WorkScale::Default;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--system" => {
-                i += 1;
-                systems = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => vec![System::Nvidia],
-                    Some("amd") => vec![System::Amd],
-                    _ => usage(),
-                };
-            }
-            "--version" => {
-                i += 1;
-                versions = match args.get(i).map(String::as_str) {
-                    Some("ompx") => vec![ProgVersion::Ompx],
-                    Some("omp") => vec![ProgVersion::Omp],
-                    Some("native") => vec![ProgVersion::Native],
-                    Some("vendor") => vec![ProgVersion::NativeVendor],
-                    _ => usage(),
-                };
-            }
-            "--test-scale" => scale = WorkScale::Test,
-            _ => usage(),
+fn parse(mut a: Args) -> Result<Opts, CliError> {
+    let app = a.next_flag().ok_or(CliError::Usage("an app name is required"))?;
+    let app = cli::app_named(&app).ok_or(CliError::Invalid { flag: "<app>".into(), value: app })?;
+    let mut o = Opts {
+        app,
+        systems: vec![System::Nvidia, System::Amd],
+        versions: ProgVersion::all().to_vec(),
+        scale: WorkScale::Default,
+    };
+    while let Some(flag) = a.next_flag() {
+        match flag.as_str() {
+            "--system" => o.systems = vec![a.system()?],
+            "--version" => o.versions = vec![a.version()?],
+            "--test-scale" => o.scale = WorkScale::Test,
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
+    Ok(o)
+}
 
+fn main() {
+    let Opts { app, systems, versions, scale } =
+        parse(Args::from_env()).unwrap_or_else(|e| usage(&e));
     for sys in systems {
         for version in &versions {
             let r = run_app(app, sys, *version, scale);

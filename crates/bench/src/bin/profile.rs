@@ -16,25 +16,28 @@
 //! the host track, the hidden-helper-thread track when `nowait` target
 //! tasks ran, and two genuine stream tracks with flow arrows. Metrics are
 //! derived from the run's extrapolated counters and modeled-time
-//! breakdown; `--baseline` diffs them against a committed baseline and
-//! exits non-zero past tolerance — the repo's perf-regression gate.
+//! breakdown; `--baseline` diffs the rendered baseline document against a
+//! committed one under the `gate::PROFILE` rule table and exits non-zero
+//! past tolerance — the repo's perf-regression gate.
 
+use ompx_bench::cli::{self, Args, CliError};
+use ompx_bench::gate;
 use ompx_hecbench::{run_app, with_span_log, ProgVersion, System, WorkScale, APP_NAMES};
 use ompx_hostrt::{KnownIssues, OpenMp};
 use ompx_klang::toolchain::Toolchain;
 use ompx_prof::probe::{overlap_probe, OverlapReport};
 use ompx_prof::{
-    derive_metrics, diff_baseline, parse_baseline, roofline, table_csv, table_text,
-    to_chrome_trace, to_json, CellProfile, Tolerance,
+    derive_metrics, roofline, table_csv, table_text, to_chrome_trace, to_json, CellProfile,
 };
 use ompx_sim::device::{Device, DeviceProfile};
 
-fn usage() -> ! {
+fn usage(e: &CliError) -> ! {
     eprintln!(
-        "usage: profile [--app <name>] [--version ompx|omp|native|vendor]\n\
+        "profile: {e}\n\
+         usage: profile [--app <name>] [--version ompx|omp|native|vendor]\n\
          \x20              [--system nvidia|amd|both] [--test-scale]\n\
          \x20              [--format text|csv|json] [--out-dir DIR]\n\
-         \x20              [--baseline FILE] [--tolerance REL] [--write-baseline FILE]\n\
+         \x20              [--baseline FILE] [--write-baseline FILE]\n\
          \x20              [--bench-out FILE]\n\
          apps: {}",
         APP_NAMES.join(", ")
@@ -59,10 +62,9 @@ struct Opts {
     baseline: Option<String>,
     write_baseline: Option<String>,
     bench_out: Option<String>,
-    tolerance: Tolerance,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse(mut a: Args) -> Result<Opts, CliError> {
     let mut o = Opts {
         apps: APP_NAMES.iter().map(|s| s.to_string()).collect(),
         versions: ProgVersion::all().to_vec(),
@@ -73,87 +75,34 @@ fn parse(args: &[String]) -> Opts {
         baseline: None,
         write_baseline: None,
         bench_out: None,
-        tolerance: Tolerance::default(),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--app" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) if APP_NAMES.contains(&a.as_str()) => o.apps = vec![a.clone()],
-                    _ => usage(),
-                }
-            }
-            "--version" => {
-                i += 1;
-                o.versions = match args.get(i).map(String::as_str) {
-                    Some("ompx") => vec![ProgVersion::Ompx],
-                    Some("omp") => vec![ProgVersion::Omp],
-                    Some("native") => vec![ProgVersion::Native],
-                    Some("vendor") => vec![ProgVersion::NativeVendor],
-                    _ => usage(),
-                };
-            }
+    while let Some(flag) = a.next_flag() {
+        match flag.as_str() {
+            "--app" => o.apps = vec![a.app()?.to_string()],
+            "--version" => o.versions = vec![a.version()?],
             "--system" => {
-                i += 1;
-                o.systems = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => vec![System::Nvidia],
-                    Some("amd") => vec![System::Amd],
-                    Some("both") => vec![System::Nvidia, System::Amd],
-                    _ => usage(),
-                };
+                o.systems = a.parse_with(|s| match s {
+                    "both" => Some(vec![System::Nvidia, System::Amd]),
+                    _ => cli::system_named(s).map(|sys| vec![sys]),
+                })?
             }
             "--test-scale" => o.scale = WorkScale::Test,
             "--format" => {
-                i += 1;
-                o.format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("csv") => Format::Csv,
-                    Some("json") => Format::Json,
-                    _ => usage(),
-                };
+                o.format = a.parse_with(|s| match s {
+                    "text" => Some(Format::Text),
+                    "csv" => Some(Format::Csv),
+                    "json" => Some(Format::Json),
+                    _ => None,
+                })?
             }
-            "--out-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.out_dir = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.baseline = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--write-baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.write_baseline = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--bench-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.bench_out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--tolerance" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(t) if t >= 0.0 => o.tolerance.rel_seconds = t,
-                    _ => usage(),
-                }
-            }
-            _ => usage(),
+            "--out-dir" => o.out_dir = Some(a.value()?),
+            "--baseline" => o.baseline = Some(a.value()?),
+            "--write-baseline" => o.write_baseline = Some(a.value()?),
+            "--bench-out" => o.bench_out = Some(a.value()?),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    o
+    Ok(o)
 }
 
 fn device_profile(sys: System) -> DeviceProfile {
@@ -164,18 +113,11 @@ fn device_profile(sys: System) -> DeviceProfile {
 }
 
 fn write_file(path: &str, content: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(path, content) {
-        eprintln!("profile: cannot write {path}: {e}");
-        std::process::exit(2);
-    }
+    cli::write_file("profile", path, content);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse(Args::from_env()).unwrap_or_else(|e| usage(&e));
 
     let mut cells: Vec<CellProfile> = Vec::new();
     let mut roofline_points = Vec::new();
@@ -221,54 +163,27 @@ fn main() {
         }
     }
 
+    // The JSON report is also the baseline document the gate compares.
+    let doc = to_json(&cells);
     match o.format {
         Format::Text => print!("{}", table_text(&cells)),
         Format::Csv => print!("{}", table_csv(&cells)),
-        Format::Json => print!("{}", to_json(&cells)),
+        Format::Json => print!("{doc}"),
     }
 
     if let Some(dir) = &o.out_dir {
         write_file(&format!("{dir}/roofline.csv"), &roofline::to_csv(&roofline_points));
-        write_file(&format!("{dir}/profile.json"), &to_json(&cells));
+        write_file(&format!("{dir}/profile.json"), &doc);
     }
     if let Some(path) = &o.write_baseline {
-        write_file(path, &to_json(&cells));
+        write_file(path, &doc);
         eprintln!("profile: baseline written to {path} ({} cells)", cells.len());
     }
     if let Some(path) = &o.bench_out {
         write_file(path, &bench_summary(&cells, &probes));
     }
-
     if let Some(path) = &o.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("profile: cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let baseline = match parse_baseline(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("profile: bad baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let drifts = diff_baseline(&cells, &baseline, o.tolerance);
-        if drifts.is_empty() {
-            eprintln!(
-                "profile: baseline gate PASSED ({} cells within ±{:.0}% / ±{:.1} occupancy pts)",
-                cells.len(),
-                100.0 * o.tolerance.rel_seconds,
-                o.tolerance.occupancy_pts
-            );
-        } else {
-            eprintln!("profile: baseline gate FAILED, {} drift(s):", drifts.len());
-            for d in &drifts {
-                eprintln!("  {d}");
-            }
-            std::process::exit(1);
-        }
+        std::process::exit(gate::check(&gate::PROFILE, &doc, path));
     }
 }
 

@@ -17,15 +17,17 @@
 //! tool at detection time, `findings_total` by tool and severity at
 //! report time — and writes the Prometheus text snapshot.
 
+use ompx_bench::cli::{write_file, Args, CliError};
 use ompx_hecbench::{run_app_sanitized, ProgVersion, System, WorkScale, APP_NAMES};
 use ompx_sanitizer::report::record_findings_metrics;
 use ompx_sanitizer::{fixtures, Report, Tool};
 use ompx_sim::context::RunContext;
 use ompx_telemetry::MetricRegistry;
 
-fn usage() -> ! {
+fn usage(e: &CliError) -> ! {
     eprintln!(
-        "usage: sanitize --tool memcheck|racecheck|synccheck|initcheck|leakcheck|all\n\
+        "sanitize: {e}\n\
+         usage: sanitize --tool memcheck|racecheck|synccheck|initcheck|leakcheck|all\n\
          \x20               (--app <name> | --fixture <name> | --list-fixtures)\n\
          \x20               [--system nvidia|amd] [--version ompx|omp|native|vendor]\n\
          \x20               [--test-scale] [--json] [--out FILE] [--metrics-out FILE]\n\
@@ -49,7 +51,7 @@ struct Opts {
     metrics_out: Option<String>,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse(mut a: Args) -> Result<Opts, CliError> {
     let mut o = Opts {
         tool: Tool::All,
         app: None,
@@ -61,29 +63,12 @@ fn parse(args: &[String]) -> Opts {
         out: None,
         metrics_out: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tool" => {
-                i += 1;
-                o.tool = match args.get(i).map(|s| s.parse()) {
-                    Some(Ok(t)) => t,
-                    _ => usage(),
-                };
-            }
-            "--app" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) if APP_NAMES.contains(&a.as_str()) => o.app = Some(a.clone()),
-                    _ => usage(),
-                }
-            }
+    while let Some(flag) = a.next_flag() {
+        match flag.as_str() {
+            "--tool" => o.tool = a.parse()?,
+            "--app" => o.app = Some(a.app()?.to_string()),
             "--fixture" => {
-                i += 1;
-                match args.get(i) {
-                    Some(f) if fixtures::by_name(f).is_some() => o.fixture = Some(f.clone()),
-                    _ => usage(),
-                }
+                o.fixture = Some(a.parse_with(|f| fixtures::by_name(f).map(|_| f.to_string()))?)
             }
             "--list-fixtures" => {
                 for (name, _, kind) in fixtures::ALL {
@@ -91,48 +76,19 @@ fn parse(args: &[String]) -> Opts {
                 }
                 std::process::exit(0);
             }
-            "--system" => {
-                i += 1;
-                o.system = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => System::Nvidia,
-                    Some("amd") => System::Amd,
-                    _ => usage(),
-                };
-            }
-            "--version" => {
-                i += 1;
-                o.versions = match args.get(i).map(String::as_str) {
-                    Some("ompx") => vec![ProgVersion::Ompx],
-                    Some("omp") => vec![ProgVersion::Omp],
-                    Some("native") => vec![ProgVersion::Native],
-                    Some("vendor") => vec![ProgVersion::NativeVendor],
-                    _ => usage(),
-                };
-            }
+            "--system" => o.system = a.system()?,
+            "--version" => o.versions = vec![a.version()?],
             "--test-scale" => o.scale = WorkScale::Test,
             "--json" => o.json = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--metrics-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.metrics_out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            _ => usage(),
+            "--out" => o.out = Some(a.value()?),
+            "--metrics-out" => o.metrics_out = Some(a.value()?),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
     if o.app.is_none() && o.fixture.is_none() {
-        usage();
+        return Err(CliError::Usage("one of --app or --fixture is required"));
     }
-    o
+    Ok(o)
 }
 
 fn emit(report: &Report, header: &str, o: &Opts) -> i32 {
@@ -143,17 +99,13 @@ fn emit(report: &Report, header: &str, o: &Opts) -> i32 {
         print!("{}", report.to_text());
     }
     if let Some(path) = &o.out {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("sanitize: cannot write {path}: {e}");
-            return 2;
-        }
+        write_file("sanitize", path, &report.to_json());
     }
     report.exit_code()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse(Args::from_env()).unwrap_or_else(|e| usage(&e));
 
     // With --metrics-out, every device the run builds counts into one
     // registry, so detection-time counters (`sanitizer_findings_total`)
@@ -166,11 +118,7 @@ fn main() {
     let ctx = RunContext { metrics: registry.clone(), ..Default::default() };
     let exit = ctx.scope(|| run(&o, registry.as_deref()));
     if let (Some(path), Some(reg)) = (&o.metrics_out, registry) {
-        let text = ompx_telemetry::to_prometheus(&reg.snapshot());
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("sanitize: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
+        write_file("sanitize", path, &ompx_telemetry::to_prometheus(&reg.snapshot()));
         eprintln!("sanitize: Prometheus metrics written to {path}");
     }
     std::process::exit(exit);

@@ -12,9 +12,10 @@
 //! validated fallback, or a backpressure rejection — a corrupt response
 //! (wrong checksum) is a finding in the same `{tool, kernel, location,
 //! severity, message}` schema the other CLIs emit and drives a non-zero
-//! exit. `--baseline` diffs the run's report against a committed
-//! `BENCH_serve.json` (integer fields exact, floats to 1e-9 relative)
-//! and fails on drift, mirroring the profile gate.
+//! exit. `--baseline` diffs the rendered report against a committed
+//! `BENCH_serve.json` under the `gate::SERVE` rule table (integer fields
+//! exact, floats to 1e-9 relative) and fails on drift, mirroring the
+//! profile gate.
 //!
 //! `--sweep` replays the same seeded load at a ladder of load factors
 //! (`--sweep-factors`, default 0.5..3.0, 7 points) and emits the
@@ -34,25 +35,27 @@
 //! contract breaches are findings and drive a non-zero exit. `--spares N`
 //! benches N warm spares that promote on device loss in any mode.
 
+use ompx_bench::cli::{self, Args, CliError};
+use ompx_bench::gate;
 use ompx_prof::chrome::to_chrome_trace;
-use ompx_prof::jsonio;
 use ompx_sanitizer::report::{exit_code, render_json as findings_json, render_text};
 use ompx_sanitizer::{Finding, Severity};
 use ompx_serve::{
     build_report, escalate, render_escalate_csv, render_escalate_json, render_json,
-    render_sweep_csv, render_sweep_json, serve, sweep, DeviceKind, EscalateResult, LoadSpec,
-    ServeConfig, ServeError, ServeReport, SweepResult, Verdict,
+    render_sweep_csv, render_sweep_json, serve, sweep, DeviceKind, LoadSpec, ServeConfig,
+    ServeError, ServeReport, Verdict,
 };
 use ompx_sim::fault::FaultPlan;
 use ompx_telemetry::{to_json as metrics_json, to_prometheus};
 
-fn usage() -> ! {
+fn usage(e: &CliError) -> ! {
     eprintln!(
-        "usage: serve [--seed N] [--clients N] [--tenants N]\n\
+        "serve: {e}\n\
+         usage: serve [--seed N] [--clients N] [--tenants N]\n\
          \x20           [--devices a100,a100,mi250,mi250] [--spares N] [--max-batch N]\n\
          \x20           [--queue-cap N] [--load-factor F] [--rate F] [--lose-at N]\n\
          \x20           [--no-faults] [--default-scale] [--json] [--bench-out FILE]\n\
-         \x20           [--trace FILE] [--baseline FILE] [--write-baseline FILE]\n\
+         \x20           [--trace FILE] [--baseline FILE]\n\
          \x20           [--metrics-out FILE] [--metrics-json FILE]\n\
          \x20           [--sweep] [--sweep-factors F,F,...] [--csv-out FILE]\n\
          \x20           [--escalate] [--multipliers F,F,...]"
@@ -67,7 +70,6 @@ struct Opts {
     bench_out: Option<String>,
     trace: Option<String>,
     baseline: Option<String>,
-    write_baseline: Option<String>,
     metrics_out: Option<String>,
     metrics_json: Option<String>,
     sweep: bool,
@@ -99,7 +101,12 @@ fn fail(o: &Opts, e: &ServeError) -> ! {
     std::process::exit(exit_code(&findings));
 }
 
-fn parse(args: &[String]) -> Opts {
+/// A comma-separated list of factors (`--sweep-factors`, `--multipliers`).
+fn factors(list: &str) -> Option<Vec<f64>> {
+    list.split(',').map(|f| f.trim().parse().ok()).collect()
+}
+
+fn parse(mut a: Args) -> Result<Opts, CliError> {
     let mut cfg = ServeConfig::new(20260808);
     let mut spec = LoadSpec { seed: 20260808, clients: 1000, tenants: 8 };
     // Default chaos: a low fault rate everywhere plus one scheduled
@@ -114,7 +121,6 @@ fn parse(args: &[String]) -> Opts {
         bench_out: None,
         trace: None,
         baseline: None,
-        write_baseline: None,
         metrics_out: None,
         metrics_json: None,
         sweep: false,
@@ -123,81 +129,53 @@ fn parse(args: &[String]) -> Opts {
         multipliers: ompx_serve::DEFAULT_MULTIPLIERS.to_vec(),
         csv_out: None,
     };
-    let mut i = 0;
-    macro_rules! val {
-        () => {{
-            i += 1;
-            match args.get(i) {
-                Some(v) => v,
-                None => usage(),
-            }
-        }};
-    }
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = a.next_flag() {
+        match flag.as_str() {
             "--seed" => {
-                let v: u64 = val!().parse().unwrap_or_else(|_| usage());
-                cfg.seed = v;
-                spec.seed = v;
+                cfg.seed = a.parse()?;
+                spec.seed = cfg.seed;
             }
-            "--clients" => spec.clients = val!().parse().unwrap_or_else(|_| usage()),
-            "--tenants" => spec.tenants = val!().parse().unwrap_or_else(|_| usage()),
+            "--clients" => spec.clients = a.parse()?,
+            "--tenants" => spec.tenants = a.parse()?,
             "--devices" => {
-                cfg.devices = val!()
-                    .split(',')
-                    .map(|d| match d.trim() {
-                        "a100" => DeviceKind::A100,
-                        "mi250" => DeviceKind::Mi250,
-                        _ => usage(),
-                    })
-                    .collect();
+                cfg.devices = a.parse_with(|list| {
+                    list.split(',')
+                        .map(|d| match d.trim() {
+                            "a100" => Some(DeviceKind::A100),
+                            "mi250" => Some(DeviceKind::Mi250),
+                            _ => None,
+                        })
+                        .collect()
+                })?;
             }
             "--spares" => {
-                let n: usize = val!().parse().unwrap_or_else(|_| usage());
+                let n: usize = a.parse()?;
                 // Alternate profiles starting with A100 so a mixed bench
                 // can cover either side of the pool.
                 cfg.spares = (0..n)
                     .map(|i| if i % 2 == 0 { DeviceKind::A100 } else { DeviceKind::Mi250 })
                     .collect();
             }
-            "--max-batch" => cfg.max_batch = val!().parse().unwrap_or_else(|_| usage()),
-            "--queue-cap" => cfg.queue_cap = val!().parse().unwrap_or_else(|_| usage()),
-            "--load-factor" => cfg.load_factor = val!().parse().unwrap_or_else(|_| usage()),
-            "--rate" => rate = val!().parse().unwrap_or_else(|_| usage()),
-            "--lose-at" => lose_at = Some(val!().parse().unwrap_or_else(|_| usage())),
+            "--max-batch" => cfg.max_batch = a.parse()?,
+            "--queue-cap" => cfg.queue_cap = a.parse()?,
+            "--load-factor" => cfg.load_factor = a.parse()?,
+            "--rate" => rate = a.parse()?,
+            "--lose-at" => lose_at = Some(a.parse()?),
             "--no-faults" => faults = false,
             "--default-scale" => cfg.scale = ompx_hecbench::WorkScale::Default,
             "--json" => o.json = true,
-            "--bench-out" => o.bench_out = Some(val!().clone()),
-            "--trace" => o.trace = Some(val!().clone()),
-            "--baseline" => o.baseline = Some(val!().clone()),
-            "--write-baseline" => o.write_baseline = Some(val!().clone()),
-            "--metrics-out" => o.metrics_out = Some(val!().clone()),
-            "--metrics-json" => o.metrics_json = Some(val!().clone()),
+            "--bench-out" => o.bench_out = Some(a.value()?),
+            "--trace" => o.trace = Some(a.value()?),
+            "--baseline" => o.baseline = Some(a.value()?),
+            "--metrics-out" => o.metrics_out = Some(a.value()?),
+            "--metrics-json" => o.metrics_json = Some(a.value()?),
             "--sweep" => o.sweep = true,
-            "--sweep-factors" => {
-                o.sweep_factors = val!()
-                    .split(',')
-                    .map(|f| f.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if o.sweep_factors.is_empty() {
-                    usage();
-                }
-            }
+            "--sweep-factors" => o.sweep_factors = a.parse_with(factors)?,
             "--escalate" => o.escalate = true,
-            "--multipliers" => {
-                o.multipliers = val!()
-                    .split(',')
-                    .map(|f| f.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if o.multipliers.is_empty() {
-                    usage();
-                }
-            }
-            "--csv-out" => o.csv_out = Some(val!().clone()),
-            _ => usage(),
+            "--multipliers" => o.multipliers = a.parse_with(factors)?,
+            "--csv-out" => o.csv_out = Some(a.value()?),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
     if faults {
         let mut plan = FaultPlan::seeded(cfg.seed, rate);
@@ -207,26 +185,30 @@ fn parse(args: &[String]) -> Opts {
         cfg.plan = Some(plan);
     }
     if spec.tenants == 0 || spec.clients == 0 {
-        usage();
+        return Err(CliError::Usage("--clients and --tenants must be at least 1"));
     }
     o.cfg = cfg;
     o.spec = spec;
-    o
+    Ok(o)
 }
 
 fn write_file(path: &str, text: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("serve: cannot write {path}: {e}");
-        std::process::exit(2);
+    cli::write_file("serve", path, text);
+}
+
+/// Gate `doc` against `--baseline`, exiting with the gate's code on drift
+/// or an unusable baseline.
+fn gate_baseline(o: &Opts, gate: &gate::Gate, doc: &str) {
+    if let Some(path) = &o.baseline {
+        let code = gate::check(gate, doc, path);
+        if code != 0 {
+            std::process::exit(code);
+        }
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse(Args::from_env()).unwrap_or_else(|e| usage(&e));
     if o.escalate {
         run_escalate(&o);
         return;
@@ -293,10 +275,6 @@ fn main() {
         write_file(path, &json);
         eprintln!("serve: report written to {path}");
     }
-    if let Some(path) = &o.write_baseline {
-        write_file(path, &json);
-        eprintln!("serve: baseline written to {path}");
-    }
     if let Some(path) = &o.trace {
         write_file(path, &to_chrome_trace(&out.spans));
         eprintln!("serve: timeline trace written to {path} ({} spans)", out.spans.len());
@@ -309,33 +287,7 @@ fn main() {
         write_file(path, &metrics_json(&out.metrics));
         eprintln!("serve: JSON metrics written to {path}");
     }
-    if let Some(path) = &o.baseline {
-        match std::fs::read_to_string(path) {
-            Err(e) => {
-                eprintln!("serve: cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-            Ok(text) => {
-                let drifts = diff_baseline(&report, &text);
-                match drifts {
-                    Err(e) => {
-                        eprintln!("serve: bad baseline {path}: {e}");
-                        std::process::exit(2);
-                    }
-                    Ok(drifts) if drifts.is_empty() => {
-                        eprintln!("serve: baseline gate PASSED");
-                    }
-                    Ok(drifts) => {
-                        eprintln!("serve: baseline gate FAILED, {} drift(s):", drifts.len());
-                        for d in &drifts {
-                            eprintln!("  {d}");
-                        }
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-    }
+    gate_baseline(&o, &gate::SERVE, &json);
     std::process::exit(exit_code(&findings));
 }
 
@@ -375,38 +327,11 @@ fn run_sweep(o: &Opts) {
         write_file(path, &json);
         eprintln!("serve: sweep report written to {path}");
     }
-    if let Some(path) = &o.write_baseline {
-        write_file(path, &json);
-        eprintln!("serve: sweep baseline written to {path}");
-    }
     if let Some(path) = &o.csv_out {
         write_file(path, &render_sweep_csv(&s));
         eprintln!("serve: sweep CSV written to {path}");
     }
-    if let Some(path) = &o.baseline {
-        match std::fs::read_to_string(path) {
-            Err(e) => {
-                eprintln!("serve: cannot read sweep baseline {path}: {e}");
-                std::process::exit(2);
-            }
-            Ok(text) => match diff_sweep_baseline(&s, &text) {
-                Err(e) => {
-                    eprintln!("serve: bad sweep baseline {path}: {e}");
-                    std::process::exit(2);
-                }
-                Ok(drifts) if drifts.is_empty() => {
-                    eprintln!("serve: sweep baseline gate PASSED");
-                }
-                Ok(drifts) => {
-                    eprintln!("serve: sweep baseline gate FAILED, {} drift(s):", drifts.len());
-                    for d in &drifts {
-                        eprintln!("  {d}");
-                    }
-                    std::process::exit(1);
-                }
-            },
-        }
-    }
+    gate_baseline(o, &gate::SWEEP, &json);
 }
 
 /// The `--escalate` mode: one seeded chaos run per fault-rate
@@ -478,38 +403,11 @@ fn run_escalate(o: &Opts) {
         write_file(path, &json);
         eprintln!("serve: resilience report written to {path}");
     }
-    if let Some(path) = &o.write_baseline {
-        write_file(path, &json);
-        eprintln!("serve: resilience baseline written to {path}");
-    }
     if let Some(path) = &o.csv_out {
         write_file(path, &render_escalate_csv(&e));
         eprintln!("serve: resilience CSV written to {path}");
     }
-    if let Some(path) = &o.baseline {
-        match std::fs::read_to_string(path) {
-            Err(err) => {
-                eprintln!("serve: cannot read resilience baseline {path}: {err}");
-                std::process::exit(2);
-            }
-            Ok(text) => match diff_resilience_baseline(&e, &text) {
-                Err(err) => {
-                    eprintln!("serve: bad resilience baseline {path}: {err}");
-                    std::process::exit(2);
-                }
-                Ok(drifts) if drifts.is_empty() => {
-                    eprintln!("serve: resilience baseline gate PASSED");
-                }
-                Ok(drifts) => {
-                    eprintln!("serve: resilience baseline gate FAILED, {} drift(s):", drifts.len());
-                    for d in &drifts {
-                        eprintln!("  {d}");
-                    }
-                    std::process::exit(1);
-                }
-            },
-        }
-    }
+    gate_baseline(o, &gate::ESCALATE, &json);
     std::process::exit(exit_code(&findings));
 }
 
@@ -556,276 +454,4 @@ fn print_text(r: &ServeReport) {
             t.rejected
         );
     }
-}
-
-/// Integer fields must match exactly, floats to 1e-9 relative: the run is
-/// deterministic, so any drift is a real behavior change.
-fn diff_baseline(report: &ServeReport, baseline: &str) -> Result<Vec<String>, String> {
-    let b = jsonio::parse(baseline)?;
-    if b.get("schema").and_then(|s| s.as_str()) != Some("ompx-bench-serve-v2") {
-        return Err("missing or wrong schema tag".to_string());
-    }
-    let mut drifts = Vec::new();
-    let int = |name: &str| -> Result<i64, String> {
-        b.get(name)
-            .and_then(|v| v.as_f64())
-            .map(|f| f as i64)
-            .ok_or_else(|| format!("baseline missing {name}"))
-    };
-    let fl = |name: &str| -> Result<f64, String> {
-        b.get(name).and_then(|v| v.as_f64()).ok_or_else(|| format!("baseline missing {name}"))
-    };
-    let mut check_int = |name: &str, got: i64| -> Result<(), String> {
-        let want = int(name)?;
-        if want != got {
-            drifts.push(format!("{name}: baseline {want}, run {got}"));
-        }
-        Ok(())
-    };
-    check_int("seed", report.seed as i64)?;
-    check_int("clients", i64::from(report.clients))?;
-    check_int("tenants", i64::from(report.tenants))?;
-    check_int("total", report.total as i64)?;
-    check_int("completed", report.completed as i64)?;
-    let verdicts = b.get("verdicts").ok_or("baseline missing verdicts")?;
-    for (name, got) in [
-        ("success", report.success),
-        ("fallback", report.fallback),
-        ("typed_error", report.typed_error),
-        ("rejected", report.rejected),
-        ("corrupt", report.corrupt),
-    ] {
-        let want = verdicts
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("baseline missing verdicts.{name}"))? as u64;
-        if want != got {
-            drifts.push(format!("verdicts.{name}: baseline {want}, run {got}"));
-        }
-    }
-    let mut check_float = |name: &str, got: f64| -> Result<(), String> {
-        let want = fl(name)?;
-        let tol = want.abs().max(1e-12) * 1e-9;
-        if (want - got).abs() > tol {
-            drifts.push(format!("{name}: baseline {want:e}, run {got:e}"));
-        }
-        Ok(())
-    };
-    check_float("makespan_s", report.makespan_s)?;
-    check_float("throughput_rps", report.throughput_rps)?;
-    check_float("latency_p50_s", report.latency_p50_s)?;
-    check_float("latency_p95_s", report.latency_p95_s)?;
-    check_float("latency_p99_s", report.latency_p99_s)?;
-    let batches = b.get("batches").ok_or("baseline missing batches")?;
-    for (name, got) in [("count", report.batch_count), ("max", report.batch_max)] {
-        let want = batches
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("baseline missing batches.{name}"))? as u64;
-        if want != got {
-            drifts.push(format!("batches.{name}: baseline {want}, run {got}"));
-        }
-    }
-    let resilience = b.get("resilience").ok_or("baseline missing resilience")?;
-    for (name, got) in [
-        ("hedges_launched", report.resilience.hedges_launched),
-        ("hedges_won", report.resilience.hedges_won),
-        ("breaker_opens", report.resilience.breaker_opens),
-        ("spares_promoted", report.resilience.spares_promoted),
-        ("deadline_misses", report.resilience.deadline_misses),
-    ] {
-        let want = resilience
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("baseline missing resilience.{name}"))?
-            as u64;
-        if want != got {
-            drifts.push(format!("resilience.{name}: baseline {want}, run {got}"));
-        }
-    }
-    let devs = b.get("devices").and_then(|d| d.as_arr()).ok_or("baseline missing devices")?;
-    if devs.len() != report.devices.len() {
-        drifts.push(format!(
-            "devices: baseline has {}, run has {}",
-            devs.len(),
-            report.devices.len()
-        ));
-    } else {
-        for (want, got) in devs.iter().zip(&report.devices) {
-            let served = want.get("served").and_then(|v| v.as_f64()).unwrap_or(-1.0);
-            if served as i64 != got.served as i64 {
-                drifts.push(format!(
-                    "devices[{}].served: baseline {served}, run {}",
-                    got.member, got.served
-                ));
-            }
-            let lost = want.get("lost") == Some(&jsonio::Json::Bool(true));
-            if lost != got.lost {
-                drifts.push(format!(
-                    "devices[{}].lost: baseline {lost}, run {}",
-                    got.member, got.lost
-                ));
-            }
-            let standby = want.get("standby") == Some(&jsonio::Json::Bool(true));
-            if standby != got.standby {
-                drifts.push(format!(
-                    "devices[{}].standby: baseline {standby}, run {}",
-                    got.member, got.standby
-                ));
-            }
-        }
-    }
-    Ok(drifts)
-}
-
-/// Resilience drift gate: the campaign is deterministic, so integer
-/// fields must match exactly and floats to 1e-9 relative.
-fn diff_resilience_baseline(e: &EscalateResult, baseline: &str) -> Result<Vec<String>, String> {
-    let b = jsonio::parse(baseline)?;
-    if b.get("schema").and_then(|v| v.as_str()) != Some("ompx-bench-resilience-v1") {
-        return Err("missing or wrong schema tag".to_string());
-    }
-    let mut drifts = Vec::new();
-    for (name, got) in [
-        ("seed", e.seed as i64),
-        ("clients", i64::from(e.clients)),
-        ("tenants", i64::from(e.tenants)),
-    ] {
-        let want = b
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .map(|f| f as i64)
-            .ok_or_else(|| format!("baseline missing {name}"))?;
-        if want != got {
-            drifts.push(format!("{name}: baseline {want}, run {got}"));
-        }
-    }
-    let rungs = b.get("rungs").and_then(|r| r.as_arr()).ok_or("baseline missing rungs")?;
-    if rungs.len() != e.rungs.len() {
-        drifts.push(format!("rungs: baseline has {}, run has {}", rungs.len(), e.rungs.len()));
-        return Ok(drifts);
-    }
-    for (k, (want, got)) in rungs.iter().zip(&e.rungs).enumerate() {
-        for (name, got_v) in [
-            ("completed", got.completed),
-            ("deadline_misses", got.deadline_misses),
-            ("hedges_launched", got.hedges_launched),
-            ("hedges_won", got.hedges_won),
-            ("breaker_opens", got.breaker_opens),
-            ("spares_promoted", got.spares_promoted),
-        ] {
-            let want_v = want
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("baseline missing rungs[{k}].{name}"))?
-                as u64;
-            if want_v != got_v {
-                drifts.push(format!("rungs[{k}].{name}: baseline {want_v}, run {got_v}"));
-            }
-        }
-        let verdicts =
-            want.get("verdicts").ok_or_else(|| format!("rungs[{k}] missing verdicts"))?;
-        for (name, got_v) in [
-            ("success", got.success),
-            ("fallback", got.fallback),
-            ("typed_error", got.typed_error),
-            ("rejected", got.rejected),
-            ("corrupt", got.corrupt),
-        ] {
-            let want_v = verdicts
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("baseline missing rungs[{k}].verdicts.{name}"))?
-                as u64;
-            if want_v != got_v {
-                drifts.push(format!("rungs[{k}].verdicts.{name}: baseline {want_v}, run {got_v}"));
-            }
-        }
-        for (name, got_v) in [
-            ("multiplier", got.multiplier),
-            ("fault_rate", got.fault_rate),
-            ("shed_frac", got.shed_frac),
-            ("interactive_p99_ratio", got.interactive_p99_ratio),
-            ("throughput_rps", got.throughput_rps),
-            ("latency_p99_s", got.latency_p99_s),
-        ] {
-            let want_v = want
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("baseline missing rungs[{k}].{name}"))?;
-            let tol = want_v.abs().max(1e-12) * 1e-9;
-            if (want_v - got_v).abs() > tol {
-                drifts.push(format!("rungs[{k}].{name}: baseline {want_v:e}, run {got_v:e}"));
-            }
-        }
-    }
-    let want_violations =
-        b.get("violations").and_then(|v| v.as_arr()).map(|v| v.len()).unwrap_or(0);
-    if want_violations != e.violations.len() {
-        drifts.push(format!(
-            "violations: baseline has {want_violations}, run has {}",
-            e.violations.len()
-        ));
-    }
-    Ok(drifts)
-}
-
-/// Sweep drift gate: same contract as [`diff_baseline`] — the curve is
-/// deterministic, so integer fields must match exactly and floats to
-/// 1e-9 relative.
-fn diff_sweep_baseline(s: &SweepResult, baseline: &str) -> Result<Vec<String>, String> {
-    let b = jsonio::parse(baseline)?;
-    if b.get("schema").and_then(|v| v.as_str()) != Some("ompx-bench-sweep-v1") {
-        return Err("missing or wrong schema tag".to_string());
-    }
-    let mut drifts = Vec::new();
-    for (name, got) in [
-        ("seed", s.seed as i64),
-        ("clients", i64::from(s.clients)),
-        ("tenants", i64::from(s.tenants)),
-    ] {
-        let want = b
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .map(|f| f as i64)
-            .ok_or_else(|| format!("baseline missing {name}"))?;
-        if want != got {
-            drifts.push(format!("{name}: baseline {want}, run {got}"));
-        }
-    }
-    let points = b.get("points").and_then(|p| p.as_arr()).ok_or("baseline missing points")?;
-    if points.len() != s.points.len() {
-        drifts.push(format!("points: baseline has {}, run has {}", points.len(), s.points.len()));
-        return Ok(drifts);
-    }
-    for (k, (want, got)) in points.iter().zip(&s.points).enumerate() {
-        for (name, got_v) in [("completed", got.completed), ("rejected", got.rejected)] {
-            let want_v = want
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("baseline missing points[{k}].{name}"))?
-                as u64;
-            if want_v != got_v {
-                drifts.push(format!("points[{k}].{name}: baseline {want_v}, run {got_v}"));
-            }
-        }
-        for (name, got_v) in [
-            ("load_factor", got.load_factor),
-            ("makespan_s", got.makespan_s),
-            ("throughput_rps", got.throughput_rps),
-            ("latency_p50_s", got.latency_p50_s),
-            ("latency_p95_s", got.latency_p95_s),
-            ("latency_p99_s", got.latency_p99_s),
-        ] {
-            let want_v = want
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("baseline missing points[{k}].{name}"))?;
-            let tol = want_v.abs().max(1e-12) * 1e-9;
-            if (want_v - got_v).abs() > tol {
-                drifts.push(format!("points[{k}].{name}: baseline {want_v:e}, run {got_v:e}"));
-            }
-        }
-    }
-    Ok(drifts)
 }

@@ -23,12 +23,14 @@
 //!   enforced — identity always is.
 //!
 //! `--baseline` compares per-cell checksums against a committed
-//! `BENCH_simspeed.json` and exits non-zero on any mismatch; wall-clock
-//! numbers are machine-dependent and deliberately not part of the
-//! baseline diff.
+//! `BENCH_simspeed.json` under the `gate::SIMSPEED` rule table (the
+//! baseline's `scale` must match the run's) and exits non-zero on any
+//! mismatch; wall-clock numbers are machine-dependent and deliberately not
+//! part of the baseline diff.
 
+use ompx_bench::cli::{self, Args, CliError};
+use ompx_bench::gate;
 use ompx_hecbench::{run_app, with_mem_trace_full, ProgVersion, System, WorkScale, APP_NAMES};
-use ompx_prof::jsonio;
 use ompx_sanitizer::fixtures;
 use ompx_sim::exec;
 use std::time::Instant;
@@ -37,9 +39,10 @@ use std::time::Instant;
 /// where it actually has more than one worker.
 const MIN_SPEEDUP: f64 = 1.5;
 
-fn usage() -> ! {
+fn usage(e: &CliError) -> ! {
     eprintln!(
-        "usage: simspeed [--runs N] [--test-scale] [--system nvidia|amd]\n\
+        "simspeed: {e}\n\
+         usage: simspeed [--runs N] [--test-scale] [--system nvidia|amd]\n\
          \x20               [--bench-out FILE] [--csv-out FILE] [--baseline FILE]"
     );
     std::process::exit(2);
@@ -54,7 +57,7 @@ struct Opts {
     baseline: Option<String>,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse(mut a: Args) -> Result<Opts, CliError> {
     let mut o = Opts {
         runs: 3,
         scale: WorkScale::Default,
@@ -63,51 +66,18 @@ fn parse(args: &[String]) -> Opts {
         csv_out: None,
         baseline: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--runs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => o.runs = n,
-                    _ => usage(),
-                }
-            }
+    while let Some(flag) = a.next_flag() {
+        match flag.as_str() {
+            "--runs" => o.runs = a.parse_with(|s| s.parse().ok().filter(|&n| n >= 1))?,
             "--test-scale" => o.scale = WorkScale::Test,
-            "--system" => {
-                i += 1;
-                o.system = match args.get(i).map(String::as_str) {
-                    Some("nvidia") => System::Nvidia,
-                    Some("amd") => System::Amd,
-                    _ => usage(),
-                };
-            }
-            "--bench-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.bench_out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--csv-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.csv_out = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => o.baseline = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            _ => usage(),
+            "--system" => o.system = a.system()?,
+            "--bench-out" => o.bench_out = Some(a.value()?),
+            "--csv-out" => o.csv_out = Some(a.value()?),
+            "--baseline" => o.baseline = Some(a.value()?),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    o
+    Ok(o)
 }
 
 struct Cell {
@@ -150,20 +120,12 @@ fn time_cell(
 
 /// Canonical bytes of a traced barrier-heavy cell: every memory event and
 /// barrier event in merged order. Identical bytes across worker counts is
-/// the memtrace half of the determinism contract. Allocation ids come from
-/// a process-global counter and differ between runs by construction, so
-/// they are renumbered in first-appearance order before serializing.
+/// the memtrace half of the determinism contract; allocation ids are
+/// included raw, since each traced run starts a fresh id space.
 fn trace_bytes(sys: System, scale: WorkScale) -> String {
-    let (_, mut events, barriers) = with_mem_trace_full(|| {
+    let (_, events, barriers) = with_mem_trace_full(|| {
         run_app("stencil", sys, ProgVersion::Native, scale);
     });
-    let mut dense: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    for e in &mut events {
-        if let ompx_sim::memtrace::MemSpace::Global { alloc_id, .. } = &mut e.space {
-            let next = dense.len();
-            *alloc_id = *dense.entry(*alloc_id).or_insert(next);
-        }
-    }
     let mut out = String::new();
     for e in &events {
         out.push_str(&format!("{e:?}\n"));
@@ -179,16 +141,6 @@ fn trace_bytes(sys: System, scale: WorkScale) -> String {
 fn findings_bytes(fixture: &str) -> String {
     let (run, _) = fixtures::by_name(fixture).expect("known fixture");
     run().to_json()
-}
-
-fn write_file(path: &str, content: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(path, content) {
-        eprintln!("simspeed: cannot write {path}: {e}");
-        std::process::exit(2);
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -237,53 +189,8 @@ fn bench_csv(cells: &[Cell]) -> String {
     out
 }
 
-/// Diff per-cell checksums against a committed `BENCH_simspeed.json`.
-/// Returns human-readable drift lines (empty = gate passed).
-fn diff_baseline(cells: &[Cell], text: &str, scale: WorkScale) -> Result<Vec<String>, String> {
-    let json = jsonio::parse(text)?;
-    if json.get("schema").and_then(|s| s.as_str()) != Some("ompx-bench-simspeed-v1") {
-        return Err("not an ompx-bench-simspeed-v1 file".into());
-    }
-    let want_scale = if scale == WorkScale::Test { "test" } else { "default" };
-    let base_scale = json.get("scale").and_then(|s| s.as_str()).unwrap_or("default");
-    if base_scale != want_scale {
-        return Err(format!(
-            "baseline was recorded at {base_scale} scale, this run is {want_scale} scale"
-        ));
-    }
-    let base = json
-        .get("cells")
-        .and_then(|c| c.as_arr())
-        .ok_or_else(|| "missing cells array".to_string())?;
-    let mut drifts = Vec::new();
-    for c in cells {
-        let found = base.iter().find(|b| {
-            b.get("app").and_then(|v| v.as_str()) == Some(c.app.as_str())
-                && b.get("version").and_then(|v| v.as_str()) == Some(c.version.as_str())
-        });
-        let Some(found) = found else {
-            drifts.push(format!("{}/{}: missing from baseline", c.app, c.version));
-            continue;
-        };
-        let want = found
-            .get("checksum")
-            .and_then(|v| v.as_str())
-            .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok());
-        match want {
-            Some(w) if w == c.checksum => {}
-            Some(w) => drifts.push(format!(
-                "{}/{}: checksum {:#018x}, baseline {:#018x}",
-                c.app, c.version, c.checksum, w
-            )),
-            None => drifts.push(format!("{}/{}: unreadable baseline checksum", c.app, c.version)),
-        }
-    }
-    Ok(drifts)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse(&args);
+    let o = parse(Args::from_env()).unwrap_or_else(|e| usage(&e));
 
     let host_cores = std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(1);
     let workers = exec::default_workers();
@@ -391,11 +298,11 @@ fn main() {
         identity_ok,
     );
     if let Some(path) = &o.bench_out {
-        write_file(path, &json);
+        cli::write_file("simspeed", path, &json);
         eprintln!("simspeed: wrote {path}");
     }
     if let Some(path) = &o.csv_out {
-        write_file(path, &bench_csv(&cells));
+        cli::write_file("simspeed", path, &bench_csv(&cells));
         eprintln!("simspeed: wrote {path}");
     }
 
@@ -414,29 +321,7 @@ fn main() {
         exit = 1;
     }
     if let Some(path) = &o.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("simspeed: cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match diff_baseline(&cells, &text, o.scale) {
-            Ok(drifts) if drifts.is_empty() => {
-                eprintln!("simspeed: baseline gate PASSED ({} cells bit-identical)", cells.len());
-            }
-            Ok(drifts) => {
-                eprintln!("simspeed: baseline gate FAILED, {} drift(s):", drifts.len());
-                for d in &drifts {
-                    eprintln!("  {d}");
-                }
-                exit = 1;
-            }
-            Err(e) => {
-                eprintln!("simspeed: bad baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        exit = exit.max(gate::check(&gate::SIMSPEED, &json, path));
     }
     std::process::exit(exit);
 }

@@ -9,6 +9,13 @@
 //! The host wall-clock cost of the simulator itself is measured by
 //! `perfbench/` (see its README); the paper-facing numbers are the modeled
 //! times printed by the `figures` binary and recorded in EXPERIMENTS.md.
+//!
+//! The bench binaries share two modules: [`cli`], the argv reader every
+//! binary parses its flags with, and [`gate`], the table-driven baseline
+//! gate behind every `--baseline FILE`.
+
+pub mod cli;
+pub mod gate;
 
 use ompx_hecbench::{run_app, ProgVersion, RunOutcome, System, WorkScale, APP_NAMES};
 

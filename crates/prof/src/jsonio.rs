@@ -1,10 +1,11 @@
-//! Minimal JSON reader for the profiler's baseline files.
+//! Minimal JSON reader for the committed baseline files.
 //!
-//! The workspace has no JSON dependency, so the baseline gate parses its
-//! own input. This is a small
+//! The workspace has no JSON dependency, so the baseline gate
+//! (`ompx-bench`'s `gate` module) parses its own input: both the committed
+//! baseline and the document the run renders. This is a small
 //! recursive-descent parser for the full JSON grammar — objects, arrays,
 //! strings with escapes, numbers, booleans, null — returning an owned
-//! [`Json`] tree. It accepts exactly what [`crate::report`] writes and
+//! [`Json`] tree. It accepts everything the bench reports write and
 //! anything a human edits into a baseline by hand.
 
 use std::collections::BTreeMap;

@@ -54,22 +54,6 @@ impl Bottleneck {
             Bottleneck::Launch => "launch",
         }
     }
-
-    /// Inverse of [`Bottleneck::label`] (baseline parsing).
-    pub fn from_label(s: &str) -> Option<Bottleneck> {
-        Some(match s {
-            "membw" => Bottleneck::MemoryBandwidth,
-            "memlat" => Bottleneck::MemoryLatency,
-            "compute" => Bottleneck::Compute,
-            "shared" => Bottleneck::SharedMemory,
-            "barrier" => Bottleneck::Barrier,
-            "atomic" => Bottleneck::Atomic,
-            "divergence" => Bottleneck::Divergence,
-            "serialization" => Bottleneck::Serialization,
-            "launch" => Bottleneck::Launch,
-            _ => return None,
-        })
-    }
 }
 
 /// Classify the kernel by the largest term of its modeled time. The body
@@ -232,8 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn bottleneck_labels_round_trip() {
-        for b in [
+    fn bottleneck_labels_are_distinct() {
+        // The baseline gate compares bottlenecks by label.
+        let labels: std::collections::BTreeSet<&str> = [
             Bottleneck::MemoryBandwidth,
             Bottleneck::MemoryLatency,
             Bottleneck::Compute,
@@ -243,9 +228,10 @@ mod tests {
             Bottleneck::Divergence,
             Bottleneck::Serialization,
             Bottleneck::Launch,
-        ] {
-            assert_eq!(Bottleneck::from_label(b.label()), Some(b));
-        }
-        assert_eq!(Bottleneck::from_label("nonsense"), None);
+        ]
+        .iter()
+        .map(Bottleneck::label)
+        .collect();
+        assert_eq!(labels.len(), 9);
     }
 }

@@ -179,7 +179,7 @@ pub fn render_escalate_json(e: &EscalateResult) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\"", v.replace('"', "'")));
+        out.push_str(&format!("\"{}\"", ompx_telemetry::json_escape(v)));
     }
     out.push_str("]\n}\n");
     out
@@ -264,5 +264,21 @@ mod tests {
         let cfg = tiny_cfg();
         assert!(matches!(escalate(&cfg, &tiny_spec(), &[]), Err(ServeError::InvalidConfig(_))));
         assert!(matches!(escalate(&cfg, &tiny_spec(), &[0.0]), Err(ServeError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn violations_render_as_valid_json_strings() {
+        let message = "rung 2: \"p99\" ratio 1.2 > 1 in C:\\slo\nsecond line";
+        let e = EscalateResult {
+            seed: 1,
+            clients: 1,
+            tenants: 1,
+            base_rate: 0.0,
+            rungs: Vec::new(),
+            violations: vec![message.to_string()],
+        };
+        let doc = ompx_prof::jsonio::parse(&render_escalate_json(&e)).expect("valid JSON");
+        let violations = doc.get("violations").and_then(|v| v.as_arr()).expect("violations");
+        assert_eq!(violations[0].as_str(), Some(message));
     }
 }

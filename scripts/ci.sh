@@ -78,9 +78,13 @@ cargo run --release -q -p ompx-bench --bin chaos -- \
     --seed 20260807 --schedules 3 --test-scale --only watchdog >/dev/null
 
 echo "==> profile baseline gate (all apps x versions x both systems)"
+PROF=$(mktemp -d)
 cargo run --release -q -p ompx-bench --bin profile -- --test-scale \
     --baseline results/profile_baseline.json \
-    --bench-out results/BENCH_prof.json >/dev/null
+    --bench-out "$PROF/BENCH_prof.json" >/dev/null
+# The committed trajectory artifact must match the fresh one byte for byte.
+diff results/BENCH_prof.json "$PROF/BENCH_prof.json"
+rm -rf "$PROF"
 
 echo "==> simspeed determinism + speed gate (24-cell matrix, serial vs parallel)"
 cargo run --release -q -p ompx-bench --bin simspeed -- \

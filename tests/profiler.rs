@@ -2,13 +2,13 @@
 //! capture through a real benchmark run, multi-track Chrome export,
 //! stream-overlap accounting, and baseline regression gating.
 
+use ompx_bench::gate::{self, PROFILE};
 use ompx_hecbench::{run_app, with_span_log, ProgVersion, System, WorkScale};
 use ompx_hostrt::{KnownIssues, OpenMp};
 use ompx_klang::toolchain::Toolchain;
+use ompx_prof::jsonio;
 use ompx_prof::probe::overlap_probe;
-use ompx_prof::{
-    derive_metrics, diff_baseline, parse_baseline, to_chrome_trace, to_json, CellProfile, Tolerance,
-};
+use ompx_prof::{derive_metrics, to_chrome_trace, to_json, CellProfile};
 use ompx_sim::device::{Device, DeviceProfile};
 use ompx_sim::span::Track;
 
@@ -83,19 +83,23 @@ fn derived_metrics_gate_against_a_baseline_round_trip() {
         metrics,
     };
     let cells = vec![cell];
-    let baseline = parse_baseline(&to_json(&cells)).expect("baseline round-trips");
-    assert!(diff_baseline(&cells, &baseline, Tolerance::default()).is_empty());
+    let doc = |cells: &[CellProfile]| jsonio::parse(&to_json(cells)).expect("report parses");
+    let baseline = doc(&cells);
+    assert!(gate::diff(&PROFILE, &baseline, &baseline).unwrap().is_empty());
 
     // A rerun of the same deterministic cell still matches the baseline.
     let rerun = run_app("adam", System::Amd, ProgVersion::Omp, WorkScale::Test);
-    assert_eq!(rerun.checksum, baseline[0].checksum);
-    assert_eq!(rerun.reported_seconds, baseline[0].reported_seconds);
+    let mut rerun_cells = cells.clone();
+    rerun_cells[0].checksum = rerun.checksum;
+    rerun_cells[0].reported_seconds = rerun.reported_seconds;
+    assert_eq!(to_json(&rerun_cells), to_json(&cells));
 
     // And a genuinely slower run fails the gate.
     let mut slower = cells.clone();
     slower[0].reported_seconds *= 2.0;
-    let drifts = diff_baseline(&slower, &baseline, Tolerance::default());
-    assert!(drifts.iter().any(|d| d.to_string().contains("modeled time drifted")));
+    let drifts = gate::diff(&PROFILE, &doc(&slower), &baseline).unwrap();
+    assert_eq!(drifts.len(), 1, "{drifts:?}");
+    assert_eq!(drifts[0].path, "cells[adam/omp/amd].reported_seconds");
 }
 
 #[test]
