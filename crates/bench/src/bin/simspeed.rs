@@ -32,6 +32,7 @@ use ompx_bench::cli::{self, Args, CliError};
 use ompx_bench::gate;
 use ompx_hecbench::{run_app, with_mem_trace_full, ProgVersion, System, WorkScale, APP_NAMES};
 use ompx_sanitizer::fixtures;
+use ompx_sim::context::RunContext;
 use ompx_sim::exec;
 use std::time::Instant;
 
@@ -96,6 +97,12 @@ impl Cell {
             1.0
         }
     }
+}
+
+/// Run `f` with every device it creates on `workers` executor workers
+/// (`None`: the default budget), in a fresh allocation id space.
+fn with_workers<R>(workers: Option<usize>, f: impl FnOnce() -> R) -> R {
+    RunContext { workers, ..Default::default() }.scope(f)
 }
 
 /// Best-of-`runs` wall time for one cell under the *current* worker
@@ -212,10 +219,9 @@ fn main() {
 
     for app in APP_NAMES {
         for version in ProgVersion::all() {
-            exec::set_global_workers(Some(1));
-            let (wall_serial, serial_sums) = time_cell(app, o.system, version, o.scale, o.runs);
-            exec::set_global_workers(None);
-            let (wall_parallel, parallel_sums) = time_cell(app, o.system, version, o.scale, o.runs);
+            let cell = || time_cell(app, o.system, version, o.scale, o.runs);
+            let (wall_serial, serial_sums) = with_workers(Some(1), cell);
+            let (wall_parallel, parallel_sums) = with_workers(None, cell);
 
             let label = version.label(o.system).to_string();
             let reference = serial_sums[0];
@@ -253,17 +259,15 @@ fn main() {
     // run-to-run drift at full width). Always probed at test scale —
     // byte identity is a property of the merge, not of the workload size,
     // and the default-scale trace is hundreds of megabytes.
-    exec::set_global_workers(Some(1));
-    let trace_ref = trace_bytes(o.system, WorkScale::Test);
-    let findings_ref = findings_bytes("shared-race");
-    exec::set_global_workers(None);
+    let trace_ref = with_workers(Some(1), || trace_bytes(o.system, WorkScale::Test));
+    let findings_ref = with_workers(Some(1), || findings_bytes("shared-race"));
     for round in 0..2 {
-        let t = trace_bytes(o.system, WorkScale::Test);
+        let t = with_workers(None, || trace_bytes(o.system, WorkScale::Test));
         if t != trace_ref {
             identity_failures
                 .push(format!("memtrace bytes differ from serial reference (round {round})"));
         }
-        let f = findings_bytes("shared-race");
+        let f = with_workers(None, || findings_bytes("shared-race"));
         if f != findings_ref {
             identity_failures.push(format!(
                 "sanitizer report bytes differ from serial reference (round {round})"

@@ -4,8 +4,9 @@
 //! object (§3.5, `depend(interopobj: obj)`); the tooling follows the same
 //! rule. A [`RunContext`] bundles the optional sinks of one tooled run —
 //! sanitizer session, memory trace, fault state with its kernel
-//! write-set hints, profiler span log, and metric registry — and a
-//! [`Device`] takes it when it is created and keeps it for its lifetime.
+//! write-set hints, profiler span log, and metric registry — plus the
+//! executor's worker count, and a [`Device`] takes it when it is created
+//! and keeps it for its lifetime.
 //! Every hook (launch, memcpy, allocation, retry, fallback, span
 //! emission) reads the sink from the device it operates on; with nothing
 //! attached a hook costs one field read.
@@ -62,6 +63,11 @@ pub struct RunContext {
     /// Allocation and stream id counters. A top-level scope that leaves
     /// this unset starts a fresh space.
     pub ids: Option<Arc<IdSpace>>,
+    /// Executor worker threads per launch (see
+    /// [`crate::device::Device::set_sim_workers`]); `Some(1)` is the
+    /// reference serial mode. Unset, devices use
+    /// [`crate::exec::default_workers`].
+    pub workers: Option<usize>,
 }
 
 /// Allocation and stream id counters shared by the devices of one run.
@@ -118,6 +124,7 @@ impl RunContext {
                 span_log: self.span_log.or_else(|| cur.span_log.clone()),
                 metrics: self.metrics.or_else(|| cur.metrics.clone()),
                 ids: self.ids.or_else(|| cur.ids.clone()).or_else(|| Some(Arc::default())),
+                workers: self.workers.or(cur.workers),
             };
             std::mem::replace(&mut *cur, merged)
         });
@@ -145,6 +152,9 @@ mod tests {
                 let d = Device::new(DeviceProfile::test_small());
                 assert!(d.span_log().is_some_and(|l| std::ptr::eq(l, &*log)));
                 assert!(d.metrics().is_some_and(|m| std::ptr::eq(m, &*reg)));
+                RunContext { workers: Some(3), ..Default::default() }.scope(|| {
+                    assert_eq!(Device::new(DeviceProfile::test_small()).sim_workers(), 3);
+                });
             });
             let d = Device::new(DeviceProfile::test_small());
             assert!(d.span_log().is_some());

@@ -254,9 +254,10 @@ pub(crate) struct DeviceInner {
     /// injection fires (before the partial block prefix commits) and
     /// consumed by [`Device::restore_checkpoint`].
     checkpoints: Mutex<HashMap<String, Checkpoint>>,
-    /// Per-device worker-thread override for the executor (0 = unset; fall
-    /// back to [`exec::default_workers`]). `1` is the reference serial
-    /// mode; results are bit-identical at any setting.
+    /// Worker threads per launch (0 = unset; fall back to
+    /// [`exec::default_workers`]), initialised from the run context. `1`
+    /// is the reference serial mode; results are bit-identical at any
+    /// setting.
     sim_workers: AtomicUsize,
 }
 
@@ -302,7 +303,7 @@ impl Device {
                 allocs: Mutex::new(Vec::new()),
                 write_sets: Mutex::new(write_sets),
                 checkpoints: Mutex::new(HashMap::new()),
-                sim_workers: AtomicUsize::new(0),
+                sim_workers: AtomicUsize::new(ctx.workers.map_or(0, |w| w.max(1))),
             }),
         }
     }
@@ -323,9 +324,10 @@ impl Device {
     }
 
     /// Set (or with `None`, clear) this device's executor worker-thread
-    /// count. `Some(1)` selects the reference serial mode. Unset devices
-    /// resolve through [`exec::default_workers`]: the process-global
-    /// override, then `OMPX_SIM_WORKERS`, then the host's parallelism.
+    /// count, which starts as the run context's
+    /// [`RunContext::workers`]. `Some(1)` selects the reference serial
+    /// mode. Unset devices resolve through [`exec::default_workers`]:
+    /// `OMPX_SIM_WORKERS`, then the host's parallelism.
     pub fn set_sim_workers(&self, workers: Option<usize>) {
         self.inner.sim_workers.store(workers.map_or(0, |w| w.max(1)), Ordering::Relaxed);
     }

@@ -1,38 +1,53 @@
 //! The kernel executor: runs every simulated GPU thread, really.
 //!
-//! Two execution paths share identical semantics as far as a kernel can
-//! observe:
+//! Host worker threads claim blocks from a shared counter; every block
+//! runs start to finish on the worker that claimed it, and the workers'
+//! results meet only in merges that are canonical by block (the cost
+//! counters, the trace and sanitizer logs, the race folds), so a launch is
+//! bit-identical at any worker count. Worker 0 is the calling thread: a
+//! launch one worker covers spawns no thread at all.
 //!
-//! * **Serial path** — for kernels with no intra-block synchronization
-//!   (`KernelFlags` default). Blocks are distributed over host worker
-//!   threads; within a block, lanes run one after another. This is the fast
-//!   path: most of the HeCBench kernels (XSBench, RSBench, Adam, SU3) are
+//! Within a block, the kernel's declared [`KernelFlags`] choose how lanes
+//! run:
+//!
+//! * **Barrier-free kernels** (the default flags) call the body lane by
+//!   lane. Most HeCBench kernels (XSBench, RSBench, Adam, SU3) are
 //!   barrier-free.
-//! * **Team path** — for kernels that use `sync_threads`, warp shuffles, or
-//!   warp barriers. A small number of *teams* is spawned, each consisting of
-//!   one OS thread per lane of a block; teams claim blocks from a shared
-//!   counter and execute them with true intra-block concurrency. Barriers
-//!   park rather than spin because lanes heavily oversubscribe host cores
-//!   (see [`crate::barrier`]).
+//! * **Kernels flagged `uses_block_sync` or `uses_warp_ops`** run each lane
+//!   as a fiber (a stack of its own, see `sim::fiber`) on the worker's
+//!   thread, polled round robin. A lane that reaches `sync_threads`,
+//!   `sync_warp`, a shuffle or a ballot arrives at a phase counter and
+//!   suspends until the last live lane arrives; lanes that returned count
+//!   as arrived. A shuffle or ballot is a single rendezvous through slots
+//!   double-buffered by the warp phase's parity (see `sim::warp`).
 //!
-//! The choice mirrors what the MCUDA line of work (cited in the paper's
-//! related work) calls "deep fission" vs true threading; we keep kernels
-//! unmodified and pay for threads only when the kernel needs them.
+//! This is the work-group execution of pocl and the "deep fission" of the
+//! MCUDA line of work (cited in the paper's related work), done at run
+//! time with stacks instead of at compile time with region formation:
+//! kernels stay unmodified blocking closures. Fibers are stackful rather
+//! than `async` so that the blocking `Fn(&mut ThreadCtx)` kernel API, which
+//! every front end and benchmark probe calls, stays as it is.
+//!
+//! When no live lane of a fibered block can run (a warp split between
+//! `sync_warp` and `sync_threads`, say), the launch fails instead of
+//! hanging: each suspended lane is resumed once more and unwound, running
+//! its destructors, and the launch panics with a message naming the block
+//! and the waiting lanes.
 
-use crate::barrier::{RetireBarrier, SenseBarrier};
 use crate::counters::{CostCounters, KernelStats, StatsSnapshot};
 use crate::dim::LaunchConfig;
+use crate::fiber::{Body, Fiber};
 use crate::memtrace::LaunchMemTrace;
 use crate::san::{AccessSite, DiagLog, LaunchSan, ToolMask};
 use crate::shared::BlockShared;
 use crate::thread::ThreadCtx;
-use crate::warp::WarpGroup;
-use parking_lot::Mutex;
+use crate::warp::{Phaser, WarpGroup};
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A panic payload carried out of a worker thread so the launch can finish
-/// its deterministic merges before the panic resumes.
+/// A panic payload carried out of a worker so the launch can finish its
+/// deterministic merges before the panic resumes.
 type PanicPayload = Box<dyn std::any::Any + Send>;
 
 /// Static properties of a kernel that the executor must know up front.
@@ -45,8 +60,9 @@ pub struct KernelFlags {
 }
 
 impl KernelFlags {
-    /// Does this kernel require the barrier-capable team path?
-    pub fn needs_team_execution(&self) -> bool {
+    /// Does this kernel synchronise its lanes, so that they must run as
+    /// fibers?
+    pub fn needs_fibers(&self) -> bool {
         self.uses_block_sync || self.uses_warp_ops
     }
 }
@@ -61,7 +77,7 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// A barrier-free kernel (eligible for the serial fast path).
+    /// A barrier-free kernel (its lanes run one after another).
     pub fn new(
         name: impl Into<String>,
         body: impl Fn(&mut ThreadCtx) + Send + Sync + 'static,
@@ -148,12 +164,29 @@ fn run_bounded(
     workers: usize,
     num_blocks: usize,
 ) -> StatsSnapshot {
-    let stats = KernelStats::new();
-    let payload = if kernel.flags.needs_team_execution() && cfg.threads_per_block() > 1 {
-        run_team(kernel, cfg, warp_size, &stats, san, mem, workers, num_blocks)
-    } else {
-        run_serial(kernel, cfg, warp_size, &stats, san, mem, workers, num_blocks)
+    let launch = Launch {
+        kernel,
+        cfg,
+        warp_size,
+        san,
+        mem,
+        num_blocks,
+        stats: KernelStats::new(),
+        next_block: AtomicUsize::new(0),
+        poisoned: AtomicBool::new(false),
     };
+    let workers = workers.clamp(1, num_blocks.max(1));
+    let payload = std::thread::scope(|s| {
+        let others: Vec<_> = (1..workers).map(|_| s.spawn(|| launch.worker())).collect();
+        let mut payload = launch.worker();
+        // Join every worker so a simulated-program panic surfaces with its
+        // original message instead of "a scoped thread panicked".
+        for h in others {
+            let failed = h.join().unwrap_or_else(Some);
+            payload = payload.or(failed);
+        }
+        payload
+    });
     // Deterministic merges happen even when the launch panicked, so a
     // failing kernel still leaves canonically ordered partial evidence.
     if let Some(san) = san {
@@ -165,7 +198,7 @@ fn run_bounded(
     if let Some(p) = payload {
         std::panic::resume_unwind(p);
     }
-    stats.snapshot()
+    launch.stats.snapshot()
 }
 
 /// Shared-memory tooling configuration for a launch: an attached sanitizer
@@ -177,136 +210,376 @@ fn block_shared(cfg: &LaunchConfig, san: Option<&LaunchSan>) -> BlockShared {
     BlockShared::with_tools(&cfg.shared_slots, session_race, session_init)
 }
 
-/// Process-global worker override set by [`set_global_workers`] (0 = unset).
-static GLOBAL_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Override the worker count for every subsequent launch in this process,
-/// taking precedence over `OMPX_SIM_WORKERS`. `None` removes the override.
-/// Benchmarks use this to switch between the reference serial mode
-/// (`Some(1)`) and full parallelism without re-execing.
-pub fn set_global_workers(workers: Option<usize>) {
-    GLOBAL_WORKERS.store(workers.map_or(0, |w| w.max(1)), Ordering::Relaxed);
-}
-
-/// Resolve the launch worker-thread budget: the process-global override,
-/// then the `OMPX_SIM_WORKERS` environment variable, then the host's
-/// available parallelism. `1` selects the reference serial mode (one worker
-/// claims every block); results are bit-identical at any setting.
+/// The launch worker-thread budget when a device sets none (see
+/// [`crate::device::Device::set_sim_workers`] and
+/// [`crate::context::RunContext::workers`]): the `OMPX_SIM_WORKERS`
+/// environment variable, then the host's available parallelism, read once
+/// per process (the parallelism probe reads cgroup files and would
+/// otherwise dominate a small launch). `1` selects the reference serial
+/// mode (one worker claims every block); results are bit-identical at any
+/// setting.
 pub fn default_workers() -> usize {
-    let forced = GLOBAL_WORKERS.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(v) = std::env::var("OMPX_SIM_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("OMPX_SIM_WORKERS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
-/// Serial path: blocks spread over workers, lanes of a block run in sequence.
-#[allow(clippy::too_many_arguments)]
-fn run_serial(
-    kernel: &Kernel,
-    cfg: &LaunchConfig,
+/// One launch as its workers see it.
+struct Launch<'a> {
+    kernel: &'a Kernel,
+    cfg: &'a LaunchConfig,
     warp_size: u32,
-    stats: &KernelStats,
-    san: Option<&LaunchSan>,
-    mem: Option<&LaunchMemTrace>,
-    workers: usize,
+    san: Option<&'a LaunchSan>,
+    mem: Option<&'a LaunchMemTrace>,
     num_blocks: usize,
-) -> Option<PanicPayload> {
-    let workers = workers.clamp(1, num_blocks.max(1));
-    let next_block = AtomicUsize::new(0);
-    // Sticky poison: once any worker sees a lane panic, no worker claims
-    // another block, so sanitizer/memtrace state never includes
-    // post-failure blocks (matching the team path's semantics).
-    let poisoned = AtomicBool::new(false);
+    stats: KernelStats,
+    next_block: AtomicUsize,
+    /// Sticky poison: once any lane panicked, no worker claims another
+    /// block, so sanitizer and memtrace state never include post-failure
+    /// blocks.
+    poisoned: AtomicBool,
+}
 
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let tpb = cfg.threads_per_block();
-                    loop {
-                        if poisoned.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let b = next_block.fetch_add(1, Ordering::Relaxed);
-                        if b >= num_blocks {
-                            break;
-                        }
-                        let shared = block_shared(cfg, san);
-                        let (bx, by, bz) = cfg.grid.delinear(b);
-                        let mut block_counters = CostCounters::default();
-                        let mut failed = None;
-                        for t in 0..tpb {
-                            let (tx, ty, tz) = cfg.block.delinear(t);
-                            let mut ctx = ThreadCtx {
-                                block: (bx, by, bz),
-                                thread: (tx, ty, tz),
-                                grid_dim: cfg.grid,
-                                block_dim: cfg.block,
-                                warp_size,
-                                counters: CostCounters::default(),
-                                shared: &shared,
-                                block_barrier: None,
-                                warp: None,
-                                collective_count: 0,
-                                san,
-                                mem,
-                                trace_log: Default::default(),
-                                diag_log: Default::default(),
-                            };
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    (kernel.body)(&mut ctx)
-                                }));
-                            block_counters.merge(&ctx.counters);
-                            ctx.stage_logs();
-                            if let Err(p) = outcome {
-                                failed = Some(p);
-                                break;
-                            }
-                        }
-                        stage_block_scan(san, cfg, (bx, by, bz), b, &shared, None);
-                        if let Some(p) = failed {
-                            poisoned.store(true, Ordering::Release);
-                            // Re-raise with the original message; the block's
-                            // stats are not absorbed (it did not commit).
-                            std::panic::resume_unwind(p);
-                        }
-                        stats.absorb_block(&block_counters, tpb as u64);
-                        stats.block_done();
-                    }
-                })
-            })
-            .collect();
-        // Join every worker so a simulated-program panic surfaces with its
-        // original message instead of "a scoped thread panicked".
-        let mut payload = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                payload.get_or_insert(p);
+impl Launch<'_> {
+    /// Claim and run blocks until none are left or a lane panicked;
+    /// returns the first panic of this worker's blocks.
+    fn worker(&self) -> Option<PanicPayload> {
+        let fibered = self.kernel.flags.needs_fibers() && self.cfg.threads_per_block() > 1;
+        // Fibers are reused across the worker's blocks.
+        let mut fibers = Vec::new();
+        loop {
+            if self.poisoned.load(Ordering::Acquire) {
+                return None;
+            }
+            let b = self.next_block.fetch_add(1, Ordering::Relaxed);
+            if b >= self.num_blocks {
+                return None;
+            }
+            let failed = if fibered { self.run_fibers(b, &mut fibers) } else { self.run_lanes(b) };
+            if failed.is_some() {
+                self.poisoned.store(true, Ordering::Release);
+                return failed;
             }
         }
-        payload
-    })
+    }
+
+    fn lane_ctx<'s>(
+        &'s self,
+        block: (u32, u32, u32),
+        lane: usize,
+        shared: &'s BlockShared,
+        lanes: Option<&'s Lanes>,
+    ) -> ThreadCtx<'s> {
+        ThreadCtx {
+            block,
+            thread: self.cfg.block.delinear(lane),
+            grid_dim: self.cfg.grid,
+            block_dim: self.cfg.block,
+            warp_size: self.warp_size,
+            counters: CostCounters::default(),
+            shared,
+            lanes,
+            san: self.san,
+            mem: self.mem,
+            trace_log: Default::default(),
+            diag_log: Default::default(),
+        }
+    }
+
+    /// A barrier-free block: lanes run one after another; the first lane
+    /// panic stops the block.
+    fn run_lanes(&self, b: usize) -> Option<PanicPayload> {
+        let tpb = self.cfg.threads_per_block();
+        let shared = block_shared(self.cfg, self.san);
+        let block = self.cfg.grid.delinear(b);
+        let mut counters = CostCounters::default();
+        let mut failed = None;
+        for lane in 0..tpb {
+            let mut ctx = self.lane_ctx(block, lane, &shared, None);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (self.kernel.body)(&mut ctx)
+            }));
+            counters.merge(&ctx.counters);
+            ctx.stage_logs();
+            if let Err(p) = outcome {
+                failed = Some(p);
+                break;
+            }
+        }
+        stage_block_scan(self.san, self.cfg, block, b, &shared, None);
+        self.commit(failed, &counters)
+    }
+
+    /// A synchronising block: every lane a fiber on this thread. A lane
+    /// panic retires that lane; the others run to completion and the
+    /// block's first panic, in round-robin order, fails it.
+    fn run_fibers(&self, b: usize, fibers: &mut Vec<Fiber>) -> Option<PanicPayload> {
+        let tpb = self.cfg.threads_per_block();
+        if fibers.len() < tpb {
+            fibers.resize_with(tpb, Fiber::new);
+        }
+        let lanes = Lanes::new(std::mem::take(fibers), tpb, self.warp_size as usize);
+        let shared = block_shared(self.cfg, self.san);
+        let block = self.cfg.grid.delinear(b);
+        let counters = RefCell::new(CostCounters::default());
+        // Each lane's final `sync_threads` count, for synccheck's
+        // barrier-divergence scan.
+        let barrier_counts: Vec<Cell<u64>> = (0..tpb).map(|_| Cell::new(0)).collect();
+        let failed: Cell<Option<PanicPayload>> = Cell::new(None);
+        let body = |lane: usize| {
+            let mut ctx = self.lane_ctx(block, lane, &shared, Some(&lanes));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (self.kernel.body)(&mut ctx)
+            }));
+            lanes.exit(lane);
+            barrier_counts[lane].set(ctx.counters.barriers);
+            counters.borrow_mut().merge(&ctx.counters);
+            ctx.stage_logs();
+            if let Err(p) = outcome {
+                let first = failed.take().or_else(|| (!p.is::<Cancelled>()).then_some(p));
+                failed.set(first);
+            }
+        };
+        let stuck = lanes.run(&body);
+        *fibers = lanes.into_fibers();
+        stage_block_scan(self.san, self.cfg, block, b, &shared, Some(&barrier_counts));
+        let failed = failed.take().or_else(|| stuck.map(|s| self.deadlock(block, &s)));
+        self.commit(failed, &counters.into_inner())
+    }
+
+    /// The failure of a block none of whose live lanes could proceed,
+    /// raised as a real panic so the panic hook reports it like a lane's.
+    fn deadlock(&self, (bx, by, bz): (u32, u32, u32), stuck: &Stuck) -> PanicPayload {
+        let waits = [(&stuck.at_barrier, "sync_threads"), (&stuck.at_warp, "a warp collective")];
+        let waits: Vec<String> = waits
+            .iter()
+            .filter(|(lanes, _)| !lanes.is_empty())
+            .map(|(lanes, at)| format!("lanes {} wait at {at}", lane_list(lanes)))
+            .collect();
+        let msg = format!(
+            "kernel `{}` deadlocked in block ({bx}, {by}, {bz}): no lane can proceed ({})",
+            self.kernel.name,
+            waits.join("; "),
+        );
+        std::panic::catch_unwind::<_, ()>(|| panic!("{msg}")).expect_err("panic! unwinds")
+    }
+
+    /// Fold a finished block into the launch stats, unless it failed.
+    fn commit(
+        &self,
+        failed: Option<PanicPayload>,
+        counters: &CostCounters,
+    ) -> Option<PanicPayload> {
+        if failed.is_none() {
+            self.stats.absorb_block(counters, self.cfg.threads_per_block() as u64);
+            self.stats.block_done();
+        }
+        failed
+    }
+}
+
+/// `0-15, 17, 19-20`: a sorted lane list with runs collapsed.
+fn lane_list(lanes: &[usize]) -> String {
+    let mut parts: Vec<String> = Vec::new();
+    let mut i = 0;
+    while i < lanes.len() {
+        let mut j = i;
+        while j + 1 < lanes.len() && lanes[j + 1] == lanes[j] + 1 {
+            j += 1;
+        }
+        parts.push(if i == j {
+            lanes[i].to_string()
+        } else {
+            format!("{}-{}", lanes[i], lanes[j])
+        });
+        i = j + 1;
+    }
+    parts.join(", ")
+}
+
+/// The payload a cancelled lane unwinds with.
+struct Cancelled;
+
+/// Where a lane of a fibered block is.
+#[derive(Clone, Copy)]
+enum LaneState {
+    /// Not started yet.
+    Ready,
+    /// Suspended at `sync_threads` until the block barrier leaves this phase.
+    AtBarrier(u64),
+    /// Suspended at a warp barrier or collective until its warp leaves
+    /// this phase.
+    AtWarp(u64),
+    /// The body returned or unwound.
+    Exited,
+}
+
+/// Lanes left suspended when a block deadlocked.
+struct Stuck {
+    at_barrier: Vec<usize>,
+    at_warp: Vec<usize>,
+}
+
+/// One block's lanes as fibers, and the rendezvous state they meet at.
+/// Everything a lane or the scheduler reads after a switch is a `Cell`.
+pub(crate) struct Lanes {
+    fibers: Vec<Fiber>,
+    state: Box<[Cell<LaneState>]>,
+    barrier: Phaser,
+    warps: Box<[WarpGroup]>,
+    warp_size: usize,
+    /// Set once the block deadlocked: a resumed lane unwinds.
+    cancel: Cell<bool>,
+}
+
+impl Lanes {
+    fn new(fibers: Vec<Fiber>, tpb: usize, warp_size: usize) -> Lanes {
+        let warps = (0..tpb.div_ceil(warp_size))
+            .map(|w| WarpGroup::new(warp_size.min(tpb - w * warp_size) as u32))
+            .collect();
+        Lanes {
+            fibers,
+            state: (0..tpb).map(|_| Cell::new(LaneState::Ready)).collect(),
+            barrier: Phaser::new(tpb),
+            warps,
+            warp_size,
+            cancel: Cell::new(false),
+        }
+    }
+
+    /// Start every lane on `body` and poll the lanes round robin until all
+    /// exited. When none can run, cancel the suspended ones and report
+    /// where they waited.
+    fn run(&self, body: Body<'_>) -> Option<Stuck> {
+        let tpb = self.state.len();
+        for (lane, fiber) in self.fibers[..tpb].iter().enumerate() {
+            // SAFETY: fibers are idle between blocks (`into_fibers` keeps
+            // only idle ones); `self` and `body` stay in place until this
+            // function returns, and by then every lane exited or was left
+            // suspended for good.
+            unsafe { fiber.start(&body, lane) };
+        }
+        loop {
+            let mut ran = false;
+            for lane in 0..tpb {
+                if self.runnable(lane) {
+                    // SAFETY: started above on this thread, and suspended.
+                    unsafe { self.fibers[lane].resume() };
+                    ran = true;
+                }
+            }
+            if self.barrier.live() == 0 {
+                return None;
+            }
+            if !ran {
+                break;
+            }
+        }
+        let mut stuck = Stuck { at_barrier: Vec::new(), at_warp: Vec::new() };
+        for (lane, state) in self.state.iter().enumerate() {
+            match state.get() {
+                LaneState::AtBarrier(_) => stuck.at_barrier.push(lane),
+                LaneState::AtWarp(_) => stuck.at_warp.push(lane),
+                LaneState::Ready | LaneState::Exited => {}
+            }
+        }
+        self.cancel.set(true);
+        for lane in stuck.at_barrier.iter().chain(&stuck.at_warp) {
+            // SAFETY: as above; the lane unwinds to its body's base.
+            unsafe { self.fibers[*lane].resume() };
+        }
+        Some(stuck)
+    }
+
+    /// The fibers back, minus any left with live frames.
+    fn into_fibers(self) -> Vec<Fiber> {
+        let mut fibers = self.fibers;
+        fibers.retain(Fiber::is_idle);
+        fibers
+    }
+
+    fn runnable(&self, lane: usize) -> bool {
+        match self.state[lane].get() {
+            LaneState::Ready => true,
+            LaneState::AtBarrier(phase) => self.barrier.phase() != phase,
+            LaneState::AtWarp(phase) => self.warp(lane).phase() != phase,
+            LaneState::Exited => false,
+        }
+    }
+
+    fn warp(&self, lane: usize) -> &WarpGroup {
+        &self.warps[lane / self.warp_size]
+    }
+
+    /// Suspend the running lane `lane` until the scheduler finds `state`
+    /// satisfied; unwind instead when the block was cancelled.
+    fn park(&self, lane: usize, state: LaneState) {
+        self.state[lane].set(state);
+        // SAFETY: only lane `lane`'s own context calls in here, on its
+        // own fiber.
+        unsafe { self.fibers[lane].suspend() };
+        if self.cancel.get() {
+            std::panic::resume_unwind(Box::new(Cancelled));
+        }
+    }
+
+    fn exit(&self, lane: usize) {
+        self.state[lane].set(LaneState::Exited);
+        self.barrier.retire();
+        self.warp(lane).retire((lane % self.warp_size) as u32);
+    }
+
+    /// `sync_threads` for lane `lane`.
+    pub(crate) fn sync_threads(&self, lane: usize) {
+        if let Some(phase) = self.barrier.arrive() {
+            self.park(lane, LaneState::AtBarrier(phase));
+        }
+    }
+
+    /// `sync_warp` for lane `lane`; also the rendezvous of every warp
+    /// collective.
+    pub(crate) fn sync_warp(&self, lane: usize) {
+        if let Some(phase) = self.warp(lane).arrive() {
+            self.park(lane, LaneState::AtWarp(phase));
+        }
+    }
+
+    /// Lane `lane` contributes `word` and receives the word of lane
+    /// `src_lane` of its warp.
+    pub(crate) fn shfl(&self, lane: usize, word: u64, src_lane: u32) -> u64 {
+        let parity = self.warp(lane).publish((lane % self.warp_size) as u32, word);
+        self.sync_warp(lane);
+        self.warp(lane).word(parity, src_lane)
+    }
+
+    /// Lane `lane` votes `pred` and receives the warp's ballot mask.
+    pub(crate) fn ballot(&self, lane: usize, pred: bool) -> u64 {
+        let parity = self.warp(lane).vote((lane % self.warp_size) as u32, pred);
+        self.sync_warp(lane);
+        self.warp(lane).mask(parity)
+    }
+
+    /// Lanes in lane `lane`'s warp.
+    pub(crate) fn warp_lanes(&self, lane: usize) -> u32 {
+        self.warp(lane).lanes()
+    }
 }
 
 /// Block-end deterministic scans, staged as the block's final diagnostic
 /// group: the shared-memory race folds in (slot, cell, epoch) order, then
-/// synccheck's barrier-divergence scan (team path only).
+/// synccheck's barrier-divergence scan (fibered blocks only).
 fn stage_block_scan(
     san: Option<&LaunchSan>,
     cfg: &LaunchConfig,
     block: (u32, u32, u32),
     block_rank: usize,
     shared: &BlockShared,
-    barrier_counts: Option<&[std::sync::atomic::AtomicU64]>,
+    barrier_counts: Option<&[Cell<u64>]>,
 ) {
     let Some(san) = san else { return };
     let mut log = DiagLog::default();
@@ -321,204 +594,6 @@ fn stage_block_scan(
     san.stage_block_scan(block_rank, log);
 }
 
-/// Shared state of one executing block on the team path.
-struct BlockExec {
-    shared: BlockShared,
-    warps: Vec<WarpGroup>,
-    barrier: RetireBarrier,
-    /// Final `sync_threads` count of each lane, written as the lane retires
-    /// and scanned once the block completes: lanes that participated in
-    /// barriers but stopped short of the block's maximum diverged
-    /// (synccheck).
-    barrier_counts: Vec<std::sync::atomic::AtomicU64>,
-}
-
-/// Per-team coordination state.
-struct TeamState {
-    /// Block index currently being executed (usize::MAX = none yet).
-    current_block: AtomicUsize,
-    /// Rendezvous for the team's lanes between protocol steps.
-    gate: SenseBarrier,
-    /// The state of the block being executed.
-    exec: Mutex<Option<Arc<BlockExec>>>,
-    /// Set when a lane panicked: the whole team stops after the current
-    /// block (a sticky error, like a device-side assert).
-    poisoned: AtomicBool,
-}
-
-/// Team path: real intra-block concurrency with barrier support.
-#[allow(clippy::too_many_arguments)]
-fn run_team(
-    kernel: &Kernel,
-    cfg: &LaunchConfig,
-    warp_size: u32,
-    stats: &KernelStats,
-    san: Option<&LaunchSan>,
-    mem: Option<&LaunchMemTrace>,
-    workers: usize,
-    num_blocks: usize,
-) -> Option<PanicPayload> {
-    let tpb = cfg.threads_per_block();
-    // Enough teams to keep the workers busy, but no more than there are
-    // blocks and never an absurd number of OS threads. `workers == 1` is
-    // the reference serial mode: a single team claims every block.
-    let teams = ((workers * 2) / tpb).clamp(1, 8).min(num_blocks).max(1);
-    let next_block = Arc::new(AtomicUsize::new(0));
-    // Launch-wide sticky poison: after any lane panics, no team claims
-    // another block.
-    let launch_poisoned = Arc::new(AtomicBool::new(false));
-
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(teams * tpb);
-        for _ in 0..teams {
-            let team = Arc::new(TeamState {
-                current_block: AtomicUsize::new(usize::MAX),
-                gate: SenseBarrier::new(tpb),
-                exec: Mutex::new(None),
-                poisoned: AtomicBool::new(false),
-            });
-            for lane in 0..tpb {
-                let team = Arc::clone(&team);
-                let next_block = Arc::clone(&next_block);
-                let launch_poisoned = Arc::clone(&launch_poisoned);
-                let stats = &*stats;
-                handles.push(s.spawn(move || {
-                    lane_loop(
-                        kernel,
-                        cfg,
-                        warp_size,
-                        lane,
-                        &team,
-                        &next_block,
-                        &launch_poisoned,
-                        stats,
-                        san,
-                        mem,
-                        num_blocks,
-                    )
-                }));
-            }
-        }
-        let mut payload = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                payload.get_or_insert(p);
-            }
-        }
-        payload
-    })
-}
-
-fn build_warps(tpb: usize, warp_size: u32) -> Vec<WarpGroup> {
-    let ws = warp_size as usize;
-    let num_warps = tpb.div_ceil(ws);
-    (0..num_warps)
-        .map(|w| {
-            let lanes = ws.min(tpb - w * ws) as u32;
-            WarpGroup::new(lanes)
-        })
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn lane_loop(
-    kernel: &Kernel,
-    cfg: &LaunchConfig,
-    warp_size: u32,
-    lane: usize,
-    team: &TeamState,
-    next_block: &AtomicUsize,
-    launch_poisoned: &AtomicBool,
-    stats: &KernelStats,
-    san: Option<&LaunchSan>,
-    mem: Option<&LaunchMemTrace>,
-    num_blocks: usize,
-) {
-    let tpb = cfg.threads_per_block();
-    loop {
-        // Step 1: lane 0 claims the next block; everyone learns it. A
-        // poisoned launch claims nothing more: the sentinel makes every
-        // lane of every team exit at its next claim.
-        if lane == 0 {
-            let b = if launch_poisoned.load(Ordering::Acquire) {
-                num_blocks
-            } else {
-                next_block.fetch_add(1, Ordering::Relaxed)
-            };
-            team.current_block.store(b, Ordering::Release);
-            if b < num_blocks {
-                *team.exec.lock() = Some(Arc::new(BlockExec {
-                    shared: block_shared(cfg, san),
-                    warps: build_warps(tpb, warp_size),
-                    barrier: RetireBarrier::new(tpb),
-                    barrier_counts: (0..tpb)
-                        .map(|_| std::sync::atomic::AtomicU64::new(0))
-                        .collect(),
-                }));
-            }
-        }
-        team.gate.wait();
-        let b = team.current_block.load(Ordering::Acquire);
-        if b >= num_blocks {
-            break; // all lanes observe the same sentinel and exit together
-        }
-        // Executor invariant, not host-side misuse: the scheduler stores
-        // every team's exec before any lane reaches this point, so a miss
-        // here is a simulator bug and deliberately panics (see error.rs).
-        let exec = team.exec.lock().as_ref().expect("block exec must be set").clone();
-
-        // Step 2: run this lane. The body may panic (simulated-program bug,
-        // e.g. an out-of-bounds access or a detected data race); sibling
-        // lanes could then wait forever on this lane's barriers, so the
-        // panic is caught, the lane retires from its barriers, the block
-        // protocol completes, and the panic is resumed afterwards so the
-        // launch still fails loudly.
-        let (bx, by, bz) = cfg.grid.delinear(b);
-        let (tx, ty, tz) = cfg.block.delinear(lane);
-        let warp = &exec.warps[lane / warp_size as usize];
-        let mut ctx = ThreadCtx {
-            block: (bx, by, bz),
-            thread: (tx, ty, tz),
-            grid_dim: cfg.grid,
-            block_dim: cfg.block,
-            warp_size,
-            counters: CostCounters::default(),
-            shared: &exec.shared,
-            block_barrier: Some(&exec.barrier),
-            warp: Some(warp),
-            collective_count: 0,
-            san,
-            mem,
-            trace_log: Default::default(),
-            diag_log: Default::default(),
-        };
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (kernel.body)(&mut ctx)));
-        if outcome.is_err() {
-            team.poisoned.store(true, Ordering::Release);
-            launch_poisoned.store(true, Ordering::Release);
-        }
-        // Retire so barriers held by still-running lanes complete.
-        exec.barrier.retire();
-        warp.retire_lane();
-        exec.barrier_counts[lane].store(ctx.counters.barriers, Ordering::Relaxed);
-        stats.absorb(&ctx.counters);
-        ctx.stage_logs();
-
-        // Step 3: whole team finishes the block before reusing the slot.
-        team.gate.wait();
-        if lane == 0 {
-            stage_block_scan(san, cfg, (bx, by, bz), b, &exec.shared, Some(&exec.barrier_counts));
-            stats.block_done();
-        }
-        match outcome {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(()) if team.poisoned.load(Ordering::Acquire) => break,
-            Ok(()) => {}
-        }
-    }
-}
-
 /// Synccheck's deterministic barrier-divergence scan, run once per block
 /// after all lanes retired. A lane that executed some `sync_threads` calls
 /// but fewer than the block's maximum abandoned its siblings at a barrier
@@ -530,13 +605,13 @@ fn scan_barrier_divergence(
     cfg: &LaunchConfig,
     block: (u32, u32, u32),
     block_rank: usize,
-    counts: &[std::sync::atomic::AtomicU64],
+    counts: &[Cell<u64>],
     log: &mut DiagLog,
 ) {
     if !san.state().tool_on(ToolMask::SYNCCHECK) {
         return;
     }
-    let vals: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+    let vals: Vec<u64> = counts.iter().map(Cell::get).collect();
     let Some(&maxc) = vals.iter().max() else { return };
     for (lane, &c) in vals.iter().enumerate() {
         if c > 0 && c < maxc {
@@ -562,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn every_thread_runs_exactly_once_serial() {
+    fn every_thread_runs_exactly_once_lane_by_lane() {
         let d = dev();
         let hits = d.alloc::<u32>(4 * 32);
         let k = Kernel::new("mark", {
@@ -579,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn every_thread_runs_exactly_once_team() {
+    fn every_thread_runs_exactly_once_on_fibers() {
         let d = dev();
         let hits = d.alloc::<u32>(6 * 16);
         let k = Kernel::with_flags(
@@ -733,7 +808,7 @@ mod tests {
         let d = dev();
         let out = d.alloc::<u32>(8);
         // Uses sync_threads and a shuffle without declaring either flag:
-        // the executor picks the serial path, and the session must surface
+        // the executor runs lanes one by one, and the session must surface
         // that as a structured KernelFlagsDrift finding instead of a panic.
         let k = Kernel::new("drifted", {
             let out = out.clone();
@@ -767,12 +842,66 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_block_sync_is_noop_on_serial_path() {
+    fn single_thread_block_sync_is_a_noop() {
         let d = dev();
         let k = Kernel::new("solo", |ctx: &mut ThreadCtx| {
             ctx.sync_threads(); // block of one: trivially fine
         });
         let stats = d.launch(&k, LaunchConfig::new(4u32, 1u32)).unwrap();
         assert_eq!(stats.barriers, 4);
+    }
+
+    #[test]
+    fn barrier_is_a_total_order_point() {
+        // Each lane bumps a shared counter before the barrier; after it,
+        // every lane must observe the full count, round after round.
+        let d = dev();
+        let tpb = 16usize;
+        let ok = d.alloc::<u32>(2 * tpb);
+        let mut cfg = LaunchConfig::new(2u32, tpb as u32);
+        let slot = cfg.shared_array::<u32>(1);
+        let k = Kernel::new("total_order", {
+            let ok = ok.clone();
+            move |ctx: &mut ThreadCtx| {
+                let counter = ctx.shared::<u32>(slot);
+                let mut pass = true;
+                for round in 1..=50u32 {
+                    ctx.satomic_add(&counter, 0, 1);
+                    ctx.sync_threads();
+                    pass &= ctx.sread(&counter, 0) == round * tpb as u32;
+                    ctx.sync_threads(); // nobody races ahead into the next round
+                }
+                ctx.write(&ok, ctx.global_rank(), u32::from(pass));
+            }
+        })
+        .with_block_sync();
+        let stats = d.launch(&k, cfg).unwrap();
+        assert_eq!(ok.to_vec(), vec![1; 2 * tpb]);
+        assert_eq!(stats.barriers, 2 * 100 * tpb as u64);
+    }
+
+    #[test]
+    fn retired_lanes_do_not_block_later_phases() {
+        // Even lanes return at once; odd lanes run ten barrier phases, and
+        // the last of them returns while lane 1 still waits at the tenth.
+        let d = dev();
+        let k = Kernel::new("retire", |ctx: &mut ThreadCtx| {
+            let t = ctx.thread_rank();
+            if t.is_multiple_of(2) {
+                return;
+            }
+            for _ in 0..if t == 7 { 9 } else { 10 } {
+                ctx.sync_threads();
+            }
+        })
+        .with_block_sync();
+        let stats = d.launch(&k, LaunchConfig::new(1u32, 8u32)).unwrap();
+        assert_eq!(stats.barriers, 3 * 10 + 9);
+    }
+
+    #[test]
+    fn lane_list_collapses_runs() {
+        assert_eq!(lane_list(&[0, 1, 2, 3, 5, 7, 8]), "0-3, 5, 7-8");
+        assert_eq!(lane_list(&[4]), "4");
     }
 }

@@ -56,7 +56,6 @@
 //! assert_eq!(stats.flops, 4);
 //! ```
 
-pub mod barrier;
 pub mod constant;
 pub mod context;
 pub mod counters;
@@ -65,6 +64,7 @@ pub mod dim;
 pub mod error;
 pub mod exec;
 pub mod fault;
+mod fiber;
 pub mod mem;
 pub mod memtrace;
 pub mod san;
@@ -74,7 +74,7 @@ pub mod stream;
 pub mod thread;
 pub mod timing;
 pub mod trace;
-pub mod warp;
+mod warp;
 
 /// Convenient glob import for simulator users.
 pub mod prelude {

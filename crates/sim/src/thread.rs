@@ -14,18 +14,17 @@
 //! * **synchronization**: `sync_threads` (block barrier), `sync_warp`,
 //!   shuffles and ballots.
 //!
-//! Whether lanes run on a dedicated thread team (barrier-capable) or are
-//! serialized lane-by-lane (fast path for barrier-free kernels) is decided
-//! by the executor; the kernel code is identical in both cases.
+//! Whether lanes run as fibers that can suspend at a barrier or are called
+//! one after another (barrier-free kernels) is decided by the executor; the
+//! kernel code is identical in both cases.
 
-use crate::barrier::RetireBarrier;
 use crate::counters::CostCounters;
 use crate::dim::Dim3;
+use crate::exec::Lanes;
 use crate::mem::{DBuf, DeviceScalar};
 use crate::memtrace::{BarrierEvent, LaunchMemTrace, MemAccessKind, MemEvent, MemSpace, TraceLog};
 use crate::san::{AccessSite, DiagLog, GlobalKind, LaunchSan, Party, ToolMask};
 use crate::shared::{BlockShared, SharedView};
-use crate::warp::WarpGroup;
 
 /// Execution identity and services for one simulated GPU thread.
 pub struct ThreadCtx<'a> {
@@ -38,9 +37,9 @@ pub struct ThreadCtx<'a> {
     /// the thread retires.
     pub counters: CostCounters,
     pub(crate) shared: &'a BlockShared,
-    pub(crate) block_barrier: Option<&'a RetireBarrier>,
-    pub(crate) warp: Option<&'a WarpGroup>,
-    pub(crate) collective_count: u64,
+    /// The block's fiber scheduler, when the kernel synchronises its
+    /// lanes; `None` for lanes called one after another.
+    pub(crate) lanes: Option<&'a Lanes>,
     /// Sanitizer session of the enclosing launch, when one is attached.
     pub(crate) san: Option<&'a LaunchSan>,
     /// Memory-access trace of the enclosing launch, when one is attached.
@@ -57,7 +56,7 @@ impl<'a> ThreadCtx<'a> {
     ///
     /// Used by runtime layers that need to run kernel-style code on a
     /// synthetic identity (e.g. the OpenMP generic-mode master emulation)
-    /// and by tests. Detached contexts run on the serial rules: block
+    /// and by tests. Detached contexts run on the barrier-free rules: block
     /// barriers and warp collectives are only legal for 1-thread blocks.
     pub fn detached(
         grid_dim: Dim3,
@@ -75,9 +74,7 @@ impl<'a> ThreadCtx<'a> {
             warp_size,
             counters: CostCounters::default(),
             shared,
-            block_barrier: None,
-            warp: None,
-            collective_count: 0,
+            lanes: None,
             san: None,
             mem: None,
             trace_log: TraceLog::default(),
@@ -137,9 +134,10 @@ impl<'a> ThreadCtx<'a> {
         suppress
     }
 
-    /// Record a `KernelFlags` drift (collective used on the serial path) as
-    /// a structured finding when a synccheck session is attached; returns
-    /// `true` when the caller should degrade instead of panicking.
+    /// Record a `KernelFlags` drift (a collective in a kernel whose lanes
+    /// run one after another) as a structured finding when a synccheck
+    /// session is attached; returns `true` when the caller should degrade
+    /// instead of panicking.
     #[cold]
     fn report_flags_drift(&mut self, what: &str, missing: &str) -> bool {
         match self.san {
@@ -541,10 +539,8 @@ impl<'a> ThreadCtx<'a> {
             });
         }
         self.counters.barriers += 1;
-        match self.block_barrier {
-            Some(b) => {
-                b.wait();
-            }
+        match self.lanes {
+            Some(lanes) => lanes.sync_threads(self.thread_rank()),
             None => {
                 if self.block_dim.count() > 1
                     && !self.report_flags_drift("sync_threads", "uses_block_sync")
@@ -562,8 +558,8 @@ impl<'a> ThreadCtx<'a> {
     /// Warp-wide barrier: `__syncwarp()` / `ompx_sync_warp()`.
     pub fn sync_warp(&mut self) {
         self.counters.warp_ops += 1;
-        match self.warp {
-            Some(w) => w.sync(),
+        match self.lanes {
+            Some(lanes) => lanes.sync_warp(self.thread_rank()),
             None => {
                 if self.block_dim.count() > 1
                     && !self.report_flags_drift("sync_warp", "uses_warp_ops")
@@ -578,31 +574,36 @@ impl<'a> ThreadCtx<'a> {
         }
     }
 
-    /// True when this thread is alone in its block: warp collectives
-    /// degenerate to self-operations (a warp of one lane), so the serial
-    /// execution path handles them without a warp group.
-    #[inline]
-    fn solo(&self) -> bool {
-        self.block_dim.count() == 1
-    }
-
-    fn warp_group(&self) -> &'a WarpGroup {
-        self.warp.expect(
+    /// The block's scheduler for a warp collective named `what`. `None`
+    /// when the collective degenerates to a self-operation: a thread alone
+    /// in its block (a warp of one lane), or a flags drift degraded under
+    /// synccheck.
+    fn collective(&mut self, what: &str) -> Option<&'a Lanes> {
+        self.counters.warp_ops += 1;
+        if self.lanes.is_none()
+            && (self.block_dim.count() == 1 || self.report_flags_drift(what, "uses_warp_ops"))
+        {
+            return None;
+        }
+        Some(self.lanes.expect(
             "warp primitives require KernelFlags::uses_warp_ops \
              (kernel launched on the serial path)",
-        )
+        ))
+    }
+
+    /// Lanes in this thread's warp (1 without a scheduler).
+    fn warp_lanes(&self) -> u32 {
+        self.lanes.map_or(1, |lanes| lanes.warp_lanes(self.thread_rank()))
     }
 
     /// `__shfl_sync`: receive the value contributed by `src_lane`.
     pub fn shfl<T: DeviceScalar>(&mut self, val: T, src_lane: usize) -> T {
-        self.counters.warp_ops += 1;
-        self.collective_count += 1;
-        if self.warp.is_none() && (self.solo() || self.report_flags_drift("shfl", "uses_warp_ops"))
-        {
-            return val; // one-lane warp (or degraded): every source is yourself
+        match self.collective("shfl") {
+            Some(lanes) => {
+                T::from_word(lanes.shfl(self.thread_rank(), val.to_word(), src_lane as u32))
+            }
+            None => val, // one-lane warp (or degraded): every source is yourself
         }
-        let lane = self.lane_id() as u32;
-        self.warp_group().shfl(lane, val, src_lane as u32)
     }
 
     /// `__shfl_sync` with an explicit member mask, the form hardware exposes
@@ -613,10 +614,7 @@ impl<'a> ThreadCtx<'a> {
     pub fn shfl_masked<T: DeviceScalar>(&mut self, mask: u64, val: T, src_lane: usize) -> T {
         if let Some(san) = self.san {
             let lane = self.lane_id();
-            let lanes = match self.warp {
-                Some(w) => w.lanes() as usize,
-                None => 1,
-            };
+            let lanes = self.warp_lanes() as usize;
             let lane_in = lane < 64 && mask & (1u64 << lane) != 0;
             let src_in = src_lane < 64 && mask & (1u64 << src_lane) != 0 && src_lane < lanes;
             if !lane_in || !src_in {
@@ -630,19 +628,12 @@ impl<'a> ThreadCtx<'a> {
     /// `__shfl_down_sync`: receive the value from `lane + delta`. Lanes past
     /// the end of the warp receive their own value (CUDA semantics).
     pub fn shfl_down<T: DeviceScalar>(&mut self, val: T, delta: usize) -> T {
-        self.counters.warp_ops += 1;
-        self.collective_count += 1;
-        if self.warp.is_none()
-            && (self.solo() || self.report_flags_drift("shfl_down", "uses_warp_ops"))
-        {
-            return val;
-        }
-        let w = self.warp_group();
-        let lane = self.lane_id() as u32;
-        let src = lane + delta as u32;
-        let got = w.shfl(lane, val, src.min(w.lanes() - 1));
-        if src < w.lanes() {
-            got
+        let Some(lanes) = self.collective("shfl_down") else { return val };
+        let width = self.warp_lanes();
+        let src = self.lane_id() as u32 + delta as u32;
+        let got = lanes.shfl(self.thread_rank(), val.to_word(), src.min(width - 1));
+        if src < width {
+            T::from_word(got)
         } else {
             val
         }
@@ -651,19 +642,11 @@ impl<'a> ThreadCtx<'a> {
     /// `__shfl_up_sync`: receive the value from `lane - delta`. Lanes before
     /// the start of the warp receive their own value.
     pub fn shfl_up<T: DeviceScalar>(&mut self, val: T, delta: usize) -> T {
-        self.counters.warp_ops += 1;
-        self.collective_count += 1;
-        if self.warp.is_none()
-            && (self.solo() || self.report_flags_drift("shfl_up", "uses_warp_ops"))
-        {
-            return val;
-        }
-        let w = self.warp_group();
-        let lane = self.lane_id() as u32;
-        let src = lane.checked_sub(delta as u32);
-        let got = w.shfl(lane, val, src.unwrap_or(0));
+        let Some(lanes) = self.collective("shfl_up") else { return val };
+        let src = (self.lane_id() as u32).checked_sub(delta as u32);
+        let got = lanes.shfl(self.thread_rank(), val.to_word(), src.unwrap_or(0));
         if src.is_some() {
-            got
+            T::from_word(got)
         } else {
             val
         }
@@ -671,29 +654,17 @@ impl<'a> ThreadCtx<'a> {
 
     /// `__shfl_xor_sync`: exchange with lane `lane ^ mask`.
     pub fn shfl_xor<T: DeviceScalar>(&mut self, val: T, mask: usize) -> T {
-        self.counters.warp_ops += 1;
-        self.collective_count += 1;
-        if self.warp.is_none()
-            && (self.solo() || self.report_flags_drift("shfl_xor", "uses_warp_ops"))
-        {
-            return val;
-        }
-        let lane = self.lane_id() as u32;
-        self.warp_group().shfl(lane, val, lane ^ mask as u32)
+        let Some(lanes) = self.collective("shfl_xor") else { return val };
+        let src = self.lane_id() as u32 ^ mask as u32;
+        T::from_word(lanes.shfl(self.thread_rank(), val.to_word(), src))
     }
 
     /// `__ballot_sync`: bitmask of lanes whose predicate is true.
     pub fn ballot(&mut self, pred: bool) -> u64 {
-        self.counters.warp_ops += 1;
-        let op = self.collective_count;
-        self.collective_count += 1;
-        if self.warp.is_none()
-            && (self.solo() || self.report_flags_drift("ballot", "uses_warp_ops"))
-        {
-            return u64::from(pred);
+        match self.collective("ballot") {
+            Some(lanes) => lanes.ballot(self.thread_rank(), pred),
+            None => u64::from(pred),
         }
-        let lane = self.lane_id() as u32;
-        self.warp_group().ballot(lane, pred, op)
     }
 
     /// `__any_sync`: true if any lane's predicate is true.
@@ -710,10 +681,7 @@ impl<'a> ThreadCtx<'a> {
     /// exited lane in the member mask is undefined behaviour.
     pub fn all_sync(&mut self, pred: bool) -> bool {
         let mask = self.ballot(pred);
-        let lanes = match self.warp {
-            Some(w) => w.lanes(),
-            None => 1,
-        };
+        let lanes = self.warp_lanes();
         let full = if lanes >= 64 { u64::MAX } else { (1u64 << lanes) - 1 };
         mask == full
     }

@@ -80,6 +80,32 @@ proptest! {
         }
     }
 
+    /// Random block-synchronising programs agree with a lockstep host
+    /// oracle: `sync_threads`, `sync_warp`, the four shuffles, `ballot`,
+    /// `any_sync`, `all_sync` and guarded early returns, over 1-, 2- and
+    /// 3-D blocks, warp widths 32 and 64, at one worker and at the host's
+    /// parallelism.
+    #[test]
+    fn random_sync_programs_match_a_lockstep_oracle(
+        words in proptest::collection::vec(0u64..u64::MAX, 1..24),
+        shape in 0u64..u64::MAX,
+        blocks in 1u32..4,
+        wide in proptest::bool::ANY,
+    ) {
+        let prog: Vec<Op> = words.iter().map(|&w| Op::decode(w)).collect();
+        let block = block_shape(shape);
+        let profile = if wide { DeviceProfile::mi250() } else { DeviceProfile::a100() };
+        let ws = profile.warp_size as usize;
+        let want = lockstep_oracle(&prog, blocks as usize, block.count(), ws);
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for workers in [1, nproc] {
+            let dev = Device::new(profile.clone());
+            dev.set_sim_workers(Some(workers));
+            let got = run_program(&dev, &prog, blocks, block);
+            prop_assert_eq!(&got, &want, "workers {workers}, block {block:?}, program {prog:?}");
+        }
+    }
+
     /// The timing model is monotone in work: more bytes or more flops can
     /// never make a kernel faster.
     #[test]
@@ -195,4 +221,182 @@ fn early_exit_barriers_terminate_for_every_split() {
             assert_eq!(*v, u32::from(i < split.max(1)), "split={split} lane={i}");
         }
     }
+}
+
+/// One step of a generated block-synchronising program. Every lane runs
+/// the same steps; `Return` makes the lanes its guard selects exit early.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Stage the lane's value in shared memory, barrier, read the lane
+    /// `off` ahead, barrier again (so no one overwrites an unread cell).
+    SyncThreads(usize),
+    SyncWarp,
+    Shfl(usize),
+    ShflUp(usize),
+    ShflDown(usize),
+    ShflXor(usize),
+    /// Collectives vote with bit `.0` of the lane's value.
+    Ballot(u32),
+    Any(u32),
+    All(u32),
+    /// Lanes with `thread_rank % .0 == .1` return.
+    Return(usize, usize),
+}
+
+impl Op {
+    fn decode(w: u64) -> Op {
+        let a = (w >> 8) as usize % 97;
+        let bit = (w >> 16) as u32 % 64;
+        match w % 10 {
+            0 => Op::SyncThreads(a),
+            1 => Op::SyncWarp,
+            2 => Op::Shfl(a),
+            3 => Op::ShflUp(a % 40),
+            4 => Op::ShflDown(a % 40),
+            5 => Op::ShflXor(a % 64),
+            6 => Op::Ballot(bit),
+            7 => Op::Any(bit),
+            8 => Op::All(bit),
+            _ => {
+                let m = 2 + (w >> 24) as usize % 6;
+                Op::Return(m, (w >> 32) as usize % m)
+            }
+        }
+    }
+}
+
+fn block_shape(w: u64) -> Dim3 {
+    let d = |shift: u32, n: u64| 1 + (w >> shift) as u32 % n as u32;
+    match w % 3 {
+        0 => Dim3::new(d(8, 192), 1, 1),
+        1 => Dim3::new(d(8, 32), d(16, 6), 1),
+        _ => Dim3::new(d(8, 8), d(16, 4), d(24, 5)),
+    }
+}
+
+fn mix(a: u64, b: u64) -> u64 {
+    (a ^ b.rotate_left(17)).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (a >> 29)
+}
+
+fn seed_value(global_rank: usize) -> u64 {
+    mix(global_rank as u64 + 1, 0x5eed)
+}
+
+/// Every lane's final value, computed op by op for all lanes at once.
+/// Exited lanes keep their value, their shared cell and their last
+/// shuffled word, and do not vote.
+fn lockstep_oracle(prog: &[Op], blocks: usize, tpb: usize, ws: usize) -> Vec<u64> {
+    let mut out = Vec::with_capacity(blocks * tpb);
+    for b in 0..blocks {
+        let mut v: Vec<u64> = (0..tpb).map(|t| seed_value(b * tpb + t)).collect();
+        let mut live = vec![true; tpb];
+        let mut last = vec![0u64; tpb];
+        let mut shared = vec![0u64; tpb];
+        for op in prog {
+            let before = v.clone();
+            for t in (0..tpb).filter(|&t| live[t]) {
+                let (base, lane) = (t - t % ws, t % ws);
+                let width = ws.min(tpb - base);
+                let mask = |bit: u32| {
+                    (0..width)
+                        .filter(|&l| live[base + l] && (before[base + l] >> bit) & 1 == 1)
+                        .fold(0u64, |m, l| m | 1 << l)
+                };
+                let shuffled = |src: usize| {
+                    let s = base + src % width;
+                    if live[s] {
+                        before[s]
+                    } else {
+                        last[s]
+                    }
+                };
+                v[t] = match *op {
+                    Op::SyncThreads(off) => {
+                        let s = (t + off) % tpb;
+                        mix(before[t], if live[s] { before[s] } else { shared[s] })
+                    }
+                    Op::SyncWarp | Op::Return(..) => before[t],
+                    Op::Shfl(src) => mix(before[t], shuffled(src)),
+                    Op::ShflUp(d) => {
+                        mix(before[t], if lane >= d { shuffled(lane - d) } else { before[t] })
+                    }
+                    Op::ShflDown(d) => mix(
+                        before[t],
+                        if lane + d < width { shuffled(lane + d) } else { before[t] },
+                    ),
+                    Op::ShflXor(m) => mix(before[t], shuffled(lane ^ m)),
+                    Op::Ballot(bit) => mix(before[t], mask(bit)),
+                    Op::Any(bit) => mix(before[t], u64::from(mask(bit) != 0)),
+                    Op::All(bit) => {
+                        let full = if width >= 64 { u64::MAX } else { (1 << width) - 1 };
+                        mix(before[t], u64::from(mask(bit) == full))
+                    }
+                };
+            }
+            for t in 0..tpb {
+                if !live[t] {
+                    continue;
+                }
+                match *op {
+                    Op::SyncThreads(_) => shared[t] = before[t],
+                    Op::Shfl(_) | Op::ShflUp(_) | Op::ShflDown(_) | Op::ShflXor(_) => {
+                        last[t] = before[t]
+                    }
+                    Op::Return(m, r) if t % m == r => live[t] = false,
+                    _ => {}
+                }
+            }
+        }
+        out.extend(v);
+    }
+    out
+}
+
+fn run_program(dev: &Device, prog: &[Op], blocks: u32, block: Dim3) -> Vec<u64> {
+    let tpb = block.count();
+    let out = dev.alloc::<u64>(blocks as usize * tpb);
+    let mut cfg = LaunchConfig::new(Dim3::new(blocks, 1, 1), block);
+    let slot = cfg.shared_array::<u64>(tpb);
+    let prog = prog.to_vec();
+    let k = Kernel::new("random_program", {
+        let out = out.clone();
+        move |tc: &mut ThreadCtx<'_>| {
+            let t = tc.thread_rank();
+            let tile = tc.shared::<u64>(slot);
+            let mut v = seed_value(tc.global_rank());
+            for op in &prog {
+                v = match *op {
+                    Op::SyncThreads(off) => {
+                        tc.swrite(&tile, t, v);
+                        tc.sync_threads();
+                        let got = tc.sread(&tile, (t + off) % tpb);
+                        tc.sync_threads();
+                        mix(v, got)
+                    }
+                    Op::SyncWarp => {
+                        tc.sync_warp();
+                        v
+                    }
+                    Op::Shfl(src) => mix(v, tc.shfl(v, src)),
+                    Op::ShflUp(d) => mix(v, tc.shfl_up(v, d)),
+                    Op::ShflDown(d) => mix(v, tc.shfl_down(v, d)),
+                    Op::ShflXor(m) => mix(v, tc.shfl_xor(v, m)),
+                    Op::Ballot(bit) => mix(v, tc.ballot((v >> bit) & 1 == 1)),
+                    Op::Any(bit) => mix(v, u64::from(tc.any_sync((v >> bit) & 1 == 1))),
+                    Op::All(bit) => mix(v, u64::from(tc.all_sync((v >> bit) & 1 == 1))),
+                    Op::Return(m, r) => {
+                        if t % m == r {
+                            break;
+                        }
+                        v
+                    }
+                };
+            }
+            tc.write(&out, tc.global_rank(), v);
+        }
+    })
+    .with_block_sync()
+    .with_warp_ops();
+    dev.launch(&k, cfg).unwrap();
+    out.to_vec()
 }

@@ -2,6 +2,7 @@
 //! launches, and tracing under load.
 
 use ompx_sim::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn dev() -> Device {
@@ -9,7 +10,7 @@ fn dev() -> Device {
 }
 
 #[test]
-fn barrier_storm_on_the_team_path() {
+fn barrier_storm_on_the_fiber_scheduler() {
     // Many blocks, maximum block width for the test device, dozens of
     // barrier phases with data handoffs between neighbours each round.
     let d = dev();
@@ -88,7 +89,7 @@ fn concurrent_launches_from_many_host_threads() {
 #[test]
 fn mixed_warp_and_block_sync_kernel() {
     // Kernels combining both synchronization granularities (the §2.7 gap
-    // the extensions close) on the team path.
+    // the extensions close) on the fiber scheduler.
     let d = dev();
     let tpb = 16usize;
     let ws = d.profile().warp_size as usize; // 4
@@ -180,4 +181,55 @@ fn deep_iteration_pingpong_is_deterministic() {
     let expect = 1.01f64.powi(100);
     let got = a.get(0); // 100 launches end back in `a`
     assert!((got - expect).abs() < 1e-9, "{got} vs {expect}");
+}
+
+#[test]
+fn a_warp_split_between_sync_warp_and_sync_threads_fails_instead_of_hanging() {
+    /// Counts the lanes whose frames were unwound.
+    struct Guard(Arc<AtomicUsize>);
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let d = dev(); // warp_size = 4
+    let dropped = Arc::new(AtomicUsize::new(0));
+    let k = Kernel::new("split_warp", {
+        let dropped = Arc::clone(&dropped);
+        move |tc: &mut ThreadCtx<'_>| {
+            let _guard = Guard(Arc::clone(&dropped));
+            // Warp 0 diverges: its even lanes wait for the warp, its odd
+            // lanes for the block, and neither group can ever complete.
+            if tc.warp_id() == 0 && tc.lane_id().is_multiple_of(2) {
+                tc.sync_warp();
+            } else {
+                tc.sync_threads();
+            }
+        }
+    })
+    .with_block_sync()
+    .with_warp_ops();
+    let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        d.launch(&k, LaunchConfig::new(1u32, 8u32))
+    }))
+    .expect_err("a deadlocked launch fails");
+    let msg = failed.downcast_ref::<String>().expect("a formatted message");
+    assert_eq!(
+        msg,
+        "kernel `split_warp` deadlocked in block (0, 0, 0): no lane can proceed \
+         (lanes 1, 3-7 wait at sync_threads; lanes 0, 2 wait at a warp collective)"
+    );
+    assert_eq!(dropped.load(Ordering::SeqCst), 8, "every suspended lane was unwound");
+
+    let out = d.alloc::<u32>(8);
+    let ok = Kernel::new("after", {
+        let out = out.clone();
+        move |tc: &mut ThreadCtx<'_>| {
+            tc.sync_threads();
+            tc.write(&out, tc.thread_rank(), 1);
+        }
+    })
+    .with_block_sync();
+    d.launch(&ok, LaunchConfig::new(2u32, 8u32)).expect("the device still launches");
+    assert_eq!(out.to_vec(), vec![1; 8]);
 }

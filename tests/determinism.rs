@@ -9,17 +9,16 @@
 //! sums over catastrophic-cancellation inputs, and a barrier-heavy
 //! benchmark cell traced end to end.
 //!
-//! Every test forces the same fixed worker count (the tests in this
-//! binary may run concurrently and the override is process-global), and
-//! serial references use the per-device knob, which takes precedence.
+//! Every test runs its devices at the same fixed worker count through
+//! the run context, so the tests need no serialising and may run
+//! concurrently; serial references use the per-device knob.
 
 use ompx_hecbench::{run_app, with_mem_trace_full, ProgVersion, System, WorkScale};
 use ompx_klang::blaslib::{sdot, BlasVendor};
 use ompx_klang::cuda::cuda_context_clang;
 use ompx_sanitizer::fixtures;
-use ompx_sim::exec;
+use ompx_sim::context::RunContext;
 use ompx_sim::memtrace::{BarrierEvent, MemEvent};
-use std::sync::Mutex;
 
 /// Bit-identity is claimed for *every* run, so probe more than once or
 /// twice: scheduling races are flaky by nature.
@@ -30,8 +29,10 @@ const RUNS: usize = 5;
 /// interleaving less predictable, which is the point.
 const WORKERS: usize = 4;
 
-/// Serializes the tests: `exec::set_global_workers` is process-global.
-static WORKER_GATE: Mutex<()> = Mutex::new(());
+/// Run `f` with every device it creates on [`WORKERS`] executor workers.
+fn at_full_width<R>(f: impl FnOnce() -> R) -> R {
+    RunContext { workers: Some(WORKERS), ..Default::default() }.scope(f)
+}
 
 /// Bytes of a trace, allocation ids included: each traced run numbers its
 /// allocations from its own run context, so they repeat run to run.
@@ -62,12 +63,14 @@ fn cancellation_inputs(n: usize) -> (Vec<f32>, Vec<f32>) {
 
 #[test]
 fn sdot_is_bit_identical_across_runs_and_worker_counts() {
-    let _gate = WORKER_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    exec::set_global_workers(Some(WORKERS));
+    at_full_width(sdot_runs);
+}
+
+fn sdot_runs() {
     let n = 8192;
     let (xs, ys) = cancellation_inputs(n);
 
-    // Reference serial run: the per-device knob beats the global override.
+    // Reference serial run: the per-device knob beats the run context.
     let reference = {
         let ctx = cuda_context_clang();
         ctx.device().set_sim_workers(Some(1));
@@ -87,20 +90,19 @@ fn sdot_is_bit_identical_across_runs_and_worker_counts() {
             "run {run} at {WORKERS} workers: {dot:?} != serial reference {reference:?}"
         );
     }
-    exec::set_global_workers(None);
 }
 
 #[test]
 fn barrier_heavy_cell_trace_and_checksum_are_bit_identical() {
-    let _gate = WORKER_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    exec::set_global_workers(Some(WORKERS));
     let mut reference: Option<(u64, String)> = None;
     for run in 0..RUNS {
         // The native stencil is the barrier-heavy version: a shared-memory
         // tile staged behind `sync_threads`, so the trace has all three
         // event kinds (global, shared, barrier) crossing the merge.
-        let (outcome, events, barriers) = with_mem_trace_full(|| {
-            run_app("stencil", System::Nvidia, ProgVersion::Native, WorkScale::Test)
+        let (outcome, events, barriers) = at_full_width(|| {
+            with_mem_trace_full(|| {
+                run_app("stencil", System::Nvidia, ProgVersion::Native, WorkScale::Test)
+            })
         });
         assert!(!events.is_empty(), "trace hook recorded nothing");
         assert!(!barriers.is_empty(), "expected a barrier-heavy kernel");
@@ -113,19 +115,15 @@ fn barrier_heavy_cell_trace_and_checksum_are_bit_identical() {
             }
         }
     }
-    exec::set_global_workers(None);
 }
 
 #[test]
 fn sanitizer_finding_order_is_bit_identical() {
-    let _gate = WORKER_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    exec::set_global_workers(Some(WORKERS));
     let (run_fixture, _) = fixtures::by_name("shared-race").expect("known fixture");
-    let reference = run_fixture().to_json();
+    let reference = at_full_width(|| run_fixture().to_json());
     assert!(reference.contains("racecheck"), "fixture produced no findings");
     for run in 1..RUNS {
-        let report = run_fixture().to_json();
+        let report = at_full_width(|| run_fixture().to_json());
         assert_eq!(report, reference, "finding-order drift on run {run}");
     }
-    exec::set_global_workers(None);
 }

@@ -100,7 +100,7 @@ fn occupancy_api_and_race_detector_compose() {
     assert!((1..=32).contains(&blocks));
 
     // A correctly synchronized tiled kernel runs clean on the A100
-    // profile (warp 32, full team path).
+    // profile (warp 32, lanes as fibers).
     let tpb = 64usize;
     let mut cfg = LaunchConfig::new(4u32, tpb as u32);
     let slot = cfg.shared_array::<f32>(tpb);
