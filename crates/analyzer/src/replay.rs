@@ -13,8 +13,8 @@
 //!
 //! The enumeration prunes loops an access cannot depend on (an access
 //! whose index and guard never mention `tid`/`item` is evaluated for one
-//! representative thread) and refuses to run past [`ENUM_CAP`]
-//! combinations rather than silently sampling.
+//! representative thread) and refuses to run past a fixed cap of
+//! combinations (8 million per access) rather than silently sampling.
 
 use crate::expr::Env;
 use crate::summary::{Access, Ground, GroundDomain, KernelSummary, Mode, Space, Valuation};

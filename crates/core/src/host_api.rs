@@ -17,9 +17,10 @@
 //! | `cudaDeviceSynchronize` | [`ompx_device_synchronize`] |
 //! | `cudaStreamCreate` | interop objects ([`crate::interop_depend`]) |
 
+use ompx_hostrt::error::classify;
 use ompx_hostrt::{OmpxError, OpenMp};
 use ompx_sim::error::{SimError, SimResult};
-use ompx_sim::fault::{run_with_retry, RetryPolicy};
+use ompx_sim::fault::run_with_retry;
 use ompx_sim::mem::{DBuf, DeviceScalar};
 use ompx_sim::span::SpanCategory;
 
@@ -36,17 +37,6 @@ fn host_span(omp: &OpenMp, name: &str, cat: SpanCategory, bytes: usize) {
             _ => 0.0,
         };
         log.host_op(name, cat, dur, bytes as u64);
-    }
-}
-
-/// Classify the terminal error of a retried host-API call: a transient
-/// fault that outlived the retry budget reports the budget; everything
-/// else passes through as a device error.
-fn classify(policy: &RetryPolicy, op: &str, e: SimError) -> OmpxError {
-    if e.is_transient() {
-        OmpxError::RetriesExhausted { op: op.to_string(), attempts: policy.max_attempts, last: e }
-    } else {
-        OmpxError::Device(e)
     }
 }
 

@@ -18,7 +18,7 @@
 //! region into the object's stream, and [`taskwait_interopobj`] is the
 //! stream synchronization.
 
-use crate::bare::PreparedBare;
+use ompx_hostrt::target::PreparedTarget;
 use ompx_hostrt::InteropObj;
 use ompx_sim::span::SpanCategory;
 use ompx_sim::stream::Event;
@@ -31,20 +31,21 @@ use ompx_sim::stream::Event;
 /// When the stream's device has a profiler span log, the submission is recorded on
 /// the host track with a flow arrow to the kernel's span on the stream's
 /// track — the `nowait` dependence made visible.
-pub fn launch_nowait_interopobj(prepared: &PreparedBare, obj: &InteropObj) -> Event {
+pub fn launch_nowait_interopobj(prepared: &PreparedTarget, obj: &InteropObj) -> Event {
     let p = prepared.clone();
     let stream = obj.stream().clone();
     let flow = stream.device().span_log().map(|log| {
         log.host_op_flow(
-            &format!("nowait depend(interopobj) {}", prepared.name()),
+            &format!("nowait depend(interopobj) {}", prepared.kernel_name()),
             SpanCategory::Task,
             0.0,
             0,
         )
     });
     obj.enqueue(move || {
-        if let Ok(r) = p.execute_silent() {
-            stream.add_modeled_span(p.name(), SpanCategory::Kernel, r.modeled.seconds, 0, flow);
+        if let Ok(r) = p.try_execute_quiet() {
+            let name = p.kernel_name();
+            stream.add_modeled_span(name, SpanCategory::Kernel, r.modeled.seconds, 0, flow);
         }
     });
     obj.record_event()

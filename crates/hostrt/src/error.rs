@@ -9,6 +9,7 @@
 //! retries run out; the `try_` layer surfaces the typed error instead.
 
 use ompx_sim::error::SimError;
+use ompx_sim::fault::RetryPolicy;
 use std::fmt;
 
 /// Error of a fallible host-runtime operation.
@@ -46,6 +47,17 @@ impl OmpxError {
             OmpxError::Device(e) => e,
             OmpxError::RetriesExhausted { last, .. } => last,
         }
+    }
+}
+
+/// Classify the terminal error of an operation retried under `policy`: a
+/// transient fault that outlived the retry budget reports the budget;
+/// everything else passes through as a device error.
+pub fn classify(policy: &RetryPolicy, op: &str, e: SimError) -> OmpxError {
+    if e.is_transient() {
+        OmpxError::RetriesExhausted { op: op.to_string(), attempts: policy.max_attempts, last: e }
+    } else {
+        OmpxError::Device(e)
     }
 }
 

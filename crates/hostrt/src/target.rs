@@ -18,7 +18,7 @@
 //! Synchronous by default, like the `target` construct; `nowait` variants
 //! dispatch through the hidden-helper task system with `depend` keys.
 
-use crate::error::OmpxError;
+use crate::error::{classify, OmpxError};
 use crate::quirks::QuirkSet;
 use crate::runtime::OpenMp;
 use crate::task::{DepKey, TaskHandle};
@@ -44,6 +44,29 @@ pub struct LaunchPlan {
     pub heap_to_shared: bool,
     /// The series must be flagged as excluded (paper's XSBench `omp`).
     pub invalid_result: bool,
+}
+
+impl LaunchPlan {
+    /// The serial host plan: the `if(false)` path and the fallback after a
+    /// device fault.
+    fn host(invalid_result: bool) -> LaunchPlan {
+        LaunchPlan {
+            mode: ExecMode::Host,
+            teams: 1,
+            threads: 1,
+            heap_to_shared: false,
+            invalid_result,
+        }
+    }
+
+    /// The device launch geometry: generic mode simulates one master per
+    /// team, every other mode launches `teams × threads`.
+    fn launch_config(&self) -> LaunchConfig {
+        match self.mode {
+            ExecMode::Generic => generic_launch_config(self.teams as usize),
+            _ => LaunchConfig::new(self.teams, self.threads),
+        }
+    }
 }
 
 /// Per-thread scratch storage the region needs (the storage class that is
@@ -250,13 +273,6 @@ impl TargetRegion {
         use ompx_sim::dim::Dim3;
         use ompx_sim::shared::BlockShared;
 
-        let plan = LaunchPlan {
-            mode: ExecMode::Host,
-            teams: 1,
-            threads: 1,
-            heap_to_shared: false,
-            invalid_result: false,
-        };
         let shared = BlockShared::new(&[]);
         let mut tc = ThreadCtx::detached(
             Dim3::x(1),
@@ -277,27 +293,10 @@ impl TargetRegion {
         for i in 0..n {
             body(&mut tc, i, &scratch);
         }
-        let c = &tc.counters;
-        let stats = ompx_sim::counters::StatsSnapshot {
-            flops: c.flops,
-            int_ops: c.int_ops,
-            global_load_bytes: c.global_load_bytes,
-            global_store_bytes: c.global_store_bytes,
-            shared_accesses: c.shared_accesses,
-            barriers: c.barriers,
-            warp_ops: c.warp_ops,
-            atomic_ops: c.atomic_ops,
-            divergent_branches: c.divergent_branches,
-            serial_ops: c.serial_ops,
-            const_reads: c.const_reads,
-            uniform_load_bytes: c.uniform_load_bytes,
-            threads_executed: 1,
-            blocks_executed: 1,
-        };
-
+        let stats = StatsSnapshot::from_block(&tc.counters, 1);
         let seconds = host_model_seconds(&stats);
-        let modeled = ompx_sim::timing::ModeledTime { seconds, ..Default::default() };
-        TargetResult { stats, modeled, plan }
+        let modeled = ModeledTime { seconds, ..Default::default() };
+        TargetResult { stats, modeled, plan: LaunchPlan::host(false) }
     }
 
     /// `distribute parallel for reduction(+: acc)` over `0..n`: every
@@ -326,13 +325,13 @@ impl TargetRegion {
         let partials = self.omp.device().alloc::<f64>(plan.teams.max(1) as usize);
         let body = Arc::new(body);
 
-        let (kernel, cfg) = match plan.mode {
+        let kernel = match plan.mode {
             ExecMode::Generic => {
                 let teams = plan.teams as usize;
                 let chunk = n.div_ceil(teams.max(1));
                 let partials2 = partials.clone();
                 let body = Arc::clone(&body);
-                let k = generic_kernel(
+                generic_kernel(
                     self.kernel_name.clone(),
                     self.omp.device(),
                     GenericRegionConfig::new(plan.threads),
@@ -349,13 +348,12 @@ impl TargetRegion {
                         let slot = team.team_num();
                         team.thread().atomic_add(&partials2, slot, partial);
                     },
-                );
-                (k, generic_launch_config(teams))
+                )
             }
             _ => {
                 let partials2 = partials.clone();
                 let body = Arc::clone(&body);
-                let k = spmd_kernel(self.kernel_name.clone(), move |ctx: &mut SpmdCtx<'_, '_>| {
+                spmd_kernel(self.kernel_name.clone(), move |ctx: &mut SpmdCtx<'_, '_>| {
                     let body = &body;
                     let partial = ctx.distribute_parallel_for_reduce(
                         n,
@@ -365,8 +363,7 @@ impl TargetRegion {
                     );
                     let slot = ctx.team_num();
                     ctx.thread().atomic_add(&partials2, slot, partial);
-                });
-                (k, LaunchConfig::new(plan.teams, plan.threads))
+                })
             }
         };
 
@@ -374,7 +371,7 @@ impl TargetRegion {
             omp: self.omp,
             kernel_name: self.kernel_name,
             kernel,
-            cfg,
+            cfg: plan.launch_config(),
             plan,
             scratch_shared_bytes: 0,
         };
@@ -428,42 +425,24 @@ impl TargetRegion {
     /// Lower the loop but do not run it: used by the `nowait`/stream paths.
     pub fn prepare_dpf(self, n: usize, body: DpfBody) -> PreparedTarget {
         let plan = self.plan();
-        let mut cfg;
-        let scratch_shared_bytes;
-        let scratch: Arc<ScratchFactory>;
-
-        if plan.heap_to_shared && self.scratch.f64_per_thread > 0 {
+        let mut cfg = plan.launch_config();
+        let mut scratch_shared_bytes = 0;
+        let per = self.scratch.f64_per_thread;
+        let scratch: Arc<ScratchFactory> = if per == 0 {
+            Arc::new(|| Scratch::None)
+        } else if plan.heap_to_shared {
             // One shared slot per block holding every team thread's scratch.
-            let per = self.scratch.f64_per_thread;
             let elems = per * plan.threads as usize;
             scratch_shared_bytes = elems * 8;
-            match plan.mode {
-                ExecMode::Generic => {
-                    cfg = generic_launch_config(plan.teams as usize);
-                }
-                _ => {
-                    cfg = LaunchConfig::new(plan.teams, plan.threads);
-                }
-            }
             let slot = cfg.shared_array::<f64>(elems);
-            scratch = Arc::new(move || Scratch::Shared { slot, per_thread: per });
+            Arc::new(move || Scratch::Shared { slot, per_thread: per })
         } else {
-            match plan.mode {
-                ExecMode::Generic => cfg = generic_launch_config(plan.teams as usize),
-                _ => cfg = LaunchConfig::new(plan.teams, plan.threads),
-            }
-            scratch_shared_bytes = 0;
-            if self.scratch.f64_per_thread > 0 {
-                // Globalized to the device heap: one slice per thread of the
-                // modeled launch.
-                let per = self.scratch.f64_per_thread;
-                let total = per * (plan.teams as usize) * (plan.threads as usize);
-                let buf = self.omp.device().alloc::<f64>(total.max(per));
-                scratch = Arc::new(move || Scratch::Heap { buf: buf.clone(), per_thread: per });
-            } else {
-                scratch = Arc::new(|| Scratch::None);
-            }
-        }
+            // Globalized to the device heap: one slice per thread of the
+            // modeled launch.
+            let total = per * (plan.teams as usize) * (plan.threads as usize);
+            let buf = self.omp.device().alloc::<f64>(total.max(per));
+            Arc::new(move || Scratch::Heap { buf: buf.clone(), per_thread: per })
+        };
 
         let kernel = match plan.mode {
             ExecMode::Generic => {
@@ -510,8 +489,7 @@ type ScratchFactory = dyn Fn() -> Scratch + Send + Sync;
 
 /// Modeled wall time of running a counted workload serially on one host
 /// core (~3 GHz, ~25 GB/s single-stream) — used for the `if(false)`
-/// conditional-offload path and for device-loss fallback (also by the
-/// core crate's bare-target fallback).
+/// conditional-offload path and for the fallback after a device fault.
 pub fn host_model_seconds(stats: &StatsSnapshot) -> f64 {
     const HOST_OPS_PER_S: f64 = 3.0e9;
     const HOST_BYTES_PER_S: f64 = 25.0e9;
@@ -525,7 +503,9 @@ pub fn host_model_seconds(stats: &StatsSnapshot) -> f64 {
 }
 
 /// A fully lowered target region, ready to execute (possibly repeatedly or
-/// asynchronously).
+/// asynchronously). Built by [`TargetRegion::prepare_dpf`] for a
+/// `distribute parallel for` region and by [`PreparedTarget::bare`] for an
+/// `ompx_bare` one.
 #[derive(Clone)]
 pub struct PreparedTarget {
     omp: OpenMp,
@@ -537,6 +517,23 @@ pub struct PreparedTarget {
 }
 
 impl PreparedTarget {
+    /// A bare region (`ompx_bare`, §3.1): `kernel` runs exactly as built,
+    /// with every thread of every team active, no device-runtime init and
+    /// no globalization, so the plan is `cfg`'s own geometry in
+    /// [`ExecMode::Bare`]. It is still a target region: the same host
+    /// runtime launches it, and its host fallback stays legal.
+    pub fn bare(omp: OpenMp, kernel: Kernel, cfg: LaunchConfig) -> PreparedTarget {
+        let plan = LaunchPlan {
+            mode: ExecMode::Bare,
+            teams: cfg.num_blocks() as u32,
+            threads: cfg.threads_per_block() as u32,
+            heap_to_shared: false,
+            invalid_result: false,
+        };
+        let kernel_name = kernel.name().to_string();
+        PreparedTarget { omp, kernel_name, kernel, cfg, plan, scratch_shared_bytes: 0 }
+    }
+
     /// Execute synchronously and model the result.
     ///
     /// Infallible wrapper over [`PreparedTarget::try_execute`]: the
@@ -549,9 +546,9 @@ impl PreparedTarget {
     /// Execute synchronously with the typed host-runtime error.
     ///
     /// Injected transient faults are retried under the device's
-    /// [`ompx_sim::fault::RetryPolicy`]; a lost device re-dispatches the
-    /// region through the host-fallback path (see
-    /// [`PreparedTarget::execute_host_fallback`]).
+    /// [`ompx_sim::fault::RetryPolicy`]; a fault the retries cannot clear
+    /// re-dispatches the region through the host fallback (see
+    /// [`PreparedTarget::try_execute_quiet`]).
     pub fn try_execute(&self) -> Result<TargetResult, OmpxError> {
         let r = self.try_execute_quiet()?;
         // A synchronous target region blocks the submitting thread for its
@@ -567,60 +564,31 @@ impl PreparedTarget {
         Ok(r)
     }
 
-    /// Execute without host-track span emission (the `nowait` task path
-    /// records a helper-thread span instead).
-    fn try_execute_quiet(&self) -> Result<TargetResult, OmpxError> {
-        let device = self.omp.device();
-        let policy = device.retry_policy();
-        match ompx_sim::fault::run_with_retry(device, &policy, &self.kernel_name, || {
-            device.launch(&self.kernel, self.cfg.clone())
-        }) {
-            Ok(stats) => {
-                let r = self.model(&stats);
-                // Report the runtime's modeled time into the device launch
-                // trace (overwrites the device's default-codegen estimate).
-                device.trace().attribute_model(&self.kernel_name, r.modeled.seconds);
-                Ok(r)
-            }
-            // Injected faults that survived the retry budget (device loss,
-            // a persistent launch fault): degrade to the host rather than
-            // fail the region. Most launch faults fire *before* any kernel
-            // side effects; a watchdog timeout leaves a committed partial
-            // block prefix, which the fallback erases by restoring the
-            // device's pre-launch checkpoint before re-dispatching.
-            Err(e) if e.is_injected() => self.execute_host_fallback(&e),
-            Err(e) if e.is_transient() => Err(OmpxError::RetriesExhausted {
-                op: self.kernel_name.clone(),
-                attempts: policy.max_attempts,
-                last: e,
-            }),
-            Err(e) => Err(OmpxError::Device(e)),
-        }
-    }
-
-    /// Re-dispatch the region through the host-fallback path after a
-    /// non-recoverable injected fault.
+    /// Execute without the host-track kernel span: the `nowait` task and
+    /// interop-stream paths record the region on their own track instead.
     ///
-    /// The lowered kernel is reused functionally — simulated device memory
-    /// is host-backed, so running it outside the fault gate produces
-    /// bit-identical results by construction — but the time model charges
-    /// a serial host core, and the reported plan says `ExecMode::Host`
-    /// with a 1×1 geometry, matching what a real runtime's `if(false)`
-    /// path would report.
-    fn execute_host_fallback(
-        &self,
-        cause: &ompx_sim::error::SimError,
-    ) -> Result<TargetResult, OmpxError> {
+    /// Recovery is [`ompx_sim::device::Device::launch_with_recovery`]'s.
+    /// A fault it had to re-dispatch turns the region into a host
+    /// fallback: simulated device memory is host-backed, so the
+    /// re-executed kernel's results are bit-identical by construction, but
+    /// the time model charges a serial host core, and the reported plan
+    /// says [`ExecMode::Host`] with a 1×1 geometry, matching what a real
+    /// runtime's `if(false)` path would report.
+    pub fn try_execute_quiet(&self) -> Result<TargetResult, OmpxError> {
         let device = self.omp.device();
+        let (stats, cause) = device
+            .launch_with_recovery(&self.kernel, &self.cfg)
+            .map_err(|e| classify(&device.retry_policy(), &self.kernel_name, e))?;
+        let Some(cause) = cause else {
+            let r = self.model(&stats);
+            // Report the runtime's modeled time into the device launch
+            // trace (overwrites the device's default-codegen estimate).
+            device.trace().attribute_model(&self.kernel_name, r.modeled.seconds);
+            return Ok(r);
+        };
         device.note_fallback(&self.kernel_name);
-        // A watchdog timeout committed a partial block prefix; restore the
-        // pre-launch checkpoint so the host re-dispatch computes from clean
-        // state. No-op for side-effect-free faults.
-        device.restore_checkpoint(self.kernel.name());
-        let stats =
-            device.launch_unchecked(&self.kernel, self.cfg.clone()).map_err(OmpxError::Device)?;
         let seconds = host_model_seconds(&stats);
-        if let Some(log) = self.omp.device().span_log() {
+        if let Some(log) = device.span_log() {
             // Emitted after the re-dispatch so the fallback bar spans its
             // modeled host duration instead of rendering zero-width.
             log.host_op(
@@ -630,15 +598,8 @@ impl PreparedTarget {
                 0,
             );
         }
-        let plan = LaunchPlan {
-            mode: ExecMode::Host,
-            teams: 1,
-            threads: 1,
-            heap_to_shared: false,
-            invalid_result: self.plan.invalid_result,
-        };
-        let modeled = ompx_sim::timing::ModeledTime { seconds, ..Default::default() };
-        Ok(TargetResult { stats, modeled, plan })
+        let modeled = ModeledTime { seconds, ..Default::default() };
+        Ok(TargetResult { stats, modeled, plan: LaunchPlan::host(self.plan.invalid_result) })
     }
 
     /// Like [`PreparedTarget::execute`], but recording the kernel span on

@@ -307,30 +307,14 @@ impl NativeCtx {
     /// The launch without host-track span emission: the asynchronous path
     /// runs this from the stream worker and records a stream span instead.
     ///
-    /// Injected transient faults are retried under the device policy; a
-    /// fault the retries cannot clear (watchdog, device loss, exhausted
-    /// episode) degrades: native kernel languages have no host-dispatch
-    /// alternative — unlike OpenMP target regions — so the runtime restores
-    /// the device's pre-launch checkpoint (a watchdog timeout leaves a
-    /// committed partial block prefix behind) and re-executes
-    /// injection-blind; the error stays recorded as sticky device state.
+    /// Recovery is [`Device::launch_with_recovery`]'s. A fault it had to
+    /// re-dispatch degrades the launch: native kernel languages have no
+    /// host-dispatch alternative — unlike OpenMP target regions — so the
+    /// re-execution keeps the device model, and the error stays recorded
+    /// as sticky device state.
     fn launch_cfg_inner(&self, kernel: &Kernel, cfg: LaunchConfig) -> SimResult<LaunchResult> {
         let device = &self.inner.device;
-        let attempt = run_with_retry(device, &device.retry_policy(), kernel.name(), || {
-            device.launch(kernel, cfg.clone())
-        });
-        let (stats, degraded_by) = match attempt {
-            Ok(stats) => (stats, None),
-            Err(e) if e.is_injected() => {
-                device.note_degraded(&format!("launch {}: {e}", kernel.name()));
-                // A watchdog timeout committed a partial block prefix;
-                // erase it so the blind re-dispatch computes from the
-                // pre-launch state. No-op for side-effect-free faults.
-                device.restore_checkpoint(kernel.name());
-                (device.launch_unchecked(kernel, cfg.clone())?, Some(e))
-            }
-            Err(e) => return Err(e),
-        };
+        let (stats, degraded_by) = device.launch_with_recovery(kernel, &cfg)?;
         let modeled = self.model(
             kernel.name(),
             cfg.threads_per_block() as u32,
@@ -338,9 +322,10 @@ impl NativeCtx {
             &stats,
         );
         if let Some(e) = degraded_by {
+            device.note_degraded(&format!("launch {}: {e}", kernel.name()));
             // Emitted after the re-dispatch so the fallback bar spans its
             // modeled duration instead of rendering zero-width.
-            if let Some(log) = self.inner.device.span_log() {
+            if let Some(log) = device.span_log() {
                 log.host_op(
                     &format!("degraded {} ({e})", kernel.name()),
                     SpanCategory::Fallback,
@@ -350,7 +335,7 @@ impl NativeCtx {
             }
         }
         self.record(kernel.name(), modeled.seconds);
-        self.inner.device.trace().attribute_model(kernel.name(), modeled.seconds);
+        device.trace().attribute_model(kernel.name(), modeled.seconds);
         Ok(LaunchResult { stats, modeled })
     }
 

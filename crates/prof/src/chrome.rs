@@ -10,7 +10,7 @@
 //! enqueued. Byte counts ride in `args`, so memcpy bars show their sizes.
 //!
 //! This supersedes the flat launch-order export in
-//! [`ompx_sim::trace::LaunchTrace::to_chrome_trace`], which has no notion
+//! [`ompx_sim::trace::Trace::to_chrome_trace`], which has no notion
 //! of time or concurrency.
 
 use ompx_sim::span::{Span, Track};

@@ -25,7 +25,7 @@
 //!   scheduling and a brownout admission ladder, hedged re-dispatch off
 //!   telemetry latency quantiles, per-member circuit breakers, and warm
 //!   spare promotion on device loss ([`server`], policies from
-//!   `ompx-resilience`), stress-tested by the [`escalate`]
+//!   `ompx-resilience`), stress-tested by the [`escalate()`]
 //!   chaos-escalation campaign and its per-rung SLO contract.
 //!
 //! Time is *modeled* (the pool's busy cursors advance by each run's

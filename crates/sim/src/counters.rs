@@ -1,11 +1,10 @@
 //! Cost counters: the per-thread event counts that feed the timing model.
 //!
 //! Each simulated thread accumulates a private [`CostCounters`]; the executor
-//! folds them into a launch-wide [`KernelStats`] when the thread retires.
+//! merges a block's lanes into one set, each worker sums the blocks it
+//! commits into a [`StatsSnapshot`], and the launch sums the workers'.
 //! These are the quantities a GPU charges time for; [`crate::timing`] turns
 //! them into a modeled execution time.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-thread event counters (plain fields — no synchronization cost on the
 /// hot path of the functional simulation).
@@ -63,130 +62,7 @@ impl CostCounters {
     }
 }
 
-/// Launch-wide aggregate of all retired threads' counters, plus launch
-/// geometry. Thread-safe: the executor's workers fold into it concurrently.
-#[derive(Debug, Default)]
-pub struct KernelStats {
-    flops: AtomicU64,
-    int_ops: AtomicU64,
-    global_load_bytes: AtomicU64,
-    global_store_bytes: AtomicU64,
-    shared_accesses: AtomicU64,
-    barriers: AtomicU64,
-    warp_ops: AtomicU64,
-    atomic_ops: AtomicU64,
-    divergent_branches: AtomicU64,
-    serial_ops: AtomicU64,
-    const_reads: AtomicU64,
-    uniform_load_bytes: AtomicU64,
-    threads_executed: AtomicU64,
-    blocks_executed: AtomicU64,
-}
-
-impl KernelStats {
-    /// Fresh, zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one retired thread's counters in.
-    pub fn absorb(&self, c: &CostCounters) {
-        self.flops.fetch_add(c.flops, Ordering::Relaxed);
-        self.int_ops.fetch_add(c.int_ops, Ordering::Relaxed);
-        self.global_load_bytes.fetch_add(c.global_load_bytes, Ordering::Relaxed);
-        self.global_store_bytes.fetch_add(c.global_store_bytes, Ordering::Relaxed);
-        self.shared_accesses.fetch_add(c.shared_accesses, Ordering::Relaxed);
-        self.barriers.fetch_add(c.barriers, Ordering::Relaxed);
-        self.warp_ops.fetch_add(c.warp_ops, Ordering::Relaxed);
-        self.atomic_ops.fetch_add(c.atomic_ops, Ordering::Relaxed);
-        self.divergent_branches.fetch_add(c.divergent_branches, Ordering::Relaxed);
-        self.serial_ops.fetch_add(c.serial_ops, Ordering::Relaxed);
-        self.const_reads.fetch_add(c.const_reads, Ordering::Relaxed);
-        self.uniform_load_bytes.fetch_add(c.uniform_load_bytes, Ordering::Relaxed);
-        self.threads_executed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold a whole block's pre-merged counters at once, attributing them to
-    /// `threads` simulated threads (used by the serial execution path, which
-    /// merges lane counters locally to avoid per-lane atomics).
-    pub fn absorb_block(&self, c: &CostCounters, threads: u64) {
-        self.absorb(c);
-        self.threads_executed.fetch_add(threads.saturating_sub(1), Ordering::Relaxed);
-    }
-
-    /// Record one completed block.
-    pub fn block_done(&self) {
-        self.blocks_executed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn flops(&self) -> u64 {
-        self.flops.load(Ordering::Relaxed)
-    }
-    pub fn int_ops(&self) -> u64 {
-        self.int_ops.load(Ordering::Relaxed)
-    }
-    pub fn global_load_bytes(&self) -> u64 {
-        self.global_load_bytes.load(Ordering::Relaxed)
-    }
-    pub fn global_store_bytes(&self) -> u64 {
-        self.global_store_bytes.load(Ordering::Relaxed)
-    }
-    pub fn global_bytes(&self) -> u64 {
-        self.global_load_bytes() + self.global_store_bytes()
-    }
-    pub fn shared_accesses(&self) -> u64 {
-        self.shared_accesses.load(Ordering::Relaxed)
-    }
-    pub fn barriers(&self) -> u64 {
-        self.barriers.load(Ordering::Relaxed)
-    }
-    pub fn warp_ops(&self) -> u64 {
-        self.warp_ops.load(Ordering::Relaxed)
-    }
-    pub fn atomic_ops(&self) -> u64 {
-        self.atomic_ops.load(Ordering::Relaxed)
-    }
-    pub fn divergent_branches(&self) -> u64 {
-        self.divergent_branches.load(Ordering::Relaxed)
-    }
-    pub fn serial_ops(&self) -> u64 {
-        self.serial_ops.load(Ordering::Relaxed)
-    }
-    pub fn const_reads(&self) -> u64 {
-        self.const_reads.load(Ordering::Relaxed)
-    }
-    pub fn uniform_load_bytes(&self) -> u64 {
-        self.uniform_load_bytes.load(Ordering::Relaxed)
-    }
-    pub fn threads_executed(&self) -> u64 {
-        self.threads_executed.load(Ordering::Relaxed)
-    }
-    pub fn blocks_executed(&self) -> u64 {
-        self.blocks_executed.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot into a plain, serializable summary.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            flops: self.flops(),
-            int_ops: self.int_ops(),
-            global_load_bytes: self.global_load_bytes(),
-            global_store_bytes: self.global_store_bytes(),
-            shared_accesses: self.shared_accesses(),
-            barriers: self.barriers(),
-            warp_ops: self.warp_ops(),
-            atomic_ops: self.atomic_ops(),
-            divergent_branches: self.divergent_branches(),
-            serial_ops: self.serial_ops(),
-            const_reads: self.const_reads(),
-            uniform_load_bytes: self.uniform_load_bytes(),
-            threads_executed: self.threads_executed(),
-            blocks_executed: self.blocks_executed(),
-        }
-    }
-}
-
-/// A plain-data snapshot of [`KernelStats`], scalable for workload
+/// Launch-wide event counts plus launch geometry, scalable for workload
 /// extrapolation (the benchmarks simulate a scaled-down problem and multiply
 /// counters up to the paper's problem size before timing — see DESIGN.md §2).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -208,6 +84,27 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// One committed block: its lanes' merged counters, run by `threads`
+    /// simulated threads.
+    pub fn from_block(c: &CostCounters, threads: u64) -> StatsSnapshot {
+        StatsSnapshot {
+            flops: c.flops,
+            int_ops: c.int_ops,
+            global_load_bytes: c.global_load_bytes,
+            global_store_bytes: c.global_store_bytes,
+            shared_accesses: c.shared_accesses,
+            barriers: c.barriers,
+            warp_ops: c.warp_ops,
+            atomic_ops: c.atomic_ops,
+            divergent_branches: c.divergent_branches,
+            serial_ops: c.serial_ops,
+            const_reads: c.const_reads,
+            uniform_load_bytes: c.uniform_load_bytes,
+            threads_executed: threads,
+            blocks_executed: 1,
+        }
+    }
+
     /// Total global-memory traffic in bytes.
     pub fn global_bytes(&self) -> u64 {
         self.global_load_bytes + self.global_store_bytes
@@ -234,7 +131,8 @@ impl StatsSnapshot {
         }
     }
 
-    /// Element-wise sum of two snapshots (multi-kernel launches).
+    /// Element-wise sum of two snapshots (a launch's workers, or several
+    /// launches).
     pub fn merged(&self, other: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             flops: self.flops + other.flops,
@@ -272,23 +170,20 @@ mod tests {
 
     #[test]
     fn absorb_counts_threads() {
-        let stats = KernelStats::new();
-        let c = CostCounters { flops: 10, atomic_ops: 2, ..Default::default() };
-        stats.absorb(&c);
-        stats.absorb(&c);
-        stats.block_done();
-        assert_eq!(stats.flops(), 20);
-        assert_eq!(stats.atomic_ops(), 4);
-        assert_eq!(stats.threads_executed(), 2);
-        assert_eq!(stats.blocks_executed(), 1);
+        let lane = CostCounters { flops: 10, atomic_ops: 2, ..Default::default() };
+        let mut block = lane;
+        block.merge(&lane);
+        let stats = StatsSnapshot::from_block(&block, 2);
+        assert_eq!(stats.flops, 20);
+        assert_eq!(stats.atomic_ops, 4);
+        assert_eq!(stats.threads_executed, 2);
+        assert_eq!(stats.blocks_executed, 1);
     }
 
     #[test]
     fn snapshot_scaling_rounds() {
-        let stats = KernelStats::new();
-        stats.absorb(&CostCounters { flops: 10, global_store_bytes: 3, ..Default::default() });
-        let snap = stats.snapshot();
-        let scaled = snap.scaled(2.5);
+        let c = CostCounters { flops: 10, global_store_bytes: 3, ..Default::default() };
+        let scaled = StatsSnapshot::from_block(&c, 1).scaled(2.5);
         assert_eq!(scaled.flops, 25);
         assert_eq!(scaled.global_store_bytes, 8); // 7.5 rounds to 8
         assert_eq!(scaled.threads_executed, 3); // 2.5 rounds
@@ -302,22 +197,5 @@ mod tests {
         assert_eq!(m.flops, 11);
         assert_eq!(m.barriers, 2);
         assert_eq!(m.shared_accesses, 5);
-    }
-
-    #[test]
-    fn concurrent_absorb_is_lossless() {
-        let stats = std::sync::Arc::new(KernelStats::new());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let st = stats.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        st.absorb(&CostCounters { flops: 1, ..Default::default() });
-                    }
-                });
-            }
-        });
-        assert_eq!(stats.flops(), 4000);
-        assert_eq!(stats.threads_executed(), 4000);
     }
 }

@@ -793,6 +793,33 @@ impl Device {
         self.launch_unchecked(kernel, cfg)
     }
 
+    /// [`Device::launch`] under the device's retry policy, with the one
+    /// re-dispatch every front end shares. An injected fault the retries
+    /// cannot clear (device loss, a watchdog timeout, an exhausted
+    /// episode) restores the pre-launch checkpoint — a watchdog leaves a
+    /// committed partial block prefix behind — and re-executes through
+    /// [`Device::launch_unchecked`], returning the stats with that cause.
+    /// Every other error (an invalid launch, say) is returned unchanged.
+    /// Callers keep only their policy: how to record and cost the
+    /// re-dispatch.
+    pub fn launch_with_recovery(
+        &self,
+        kernel: &Kernel,
+        cfg: &LaunchConfig,
+    ) -> SimResult<(StatsSnapshot, Option<SimError>)> {
+        let policy = self.retry_policy();
+        match crate::fault::run_with_retry(self, &policy, kernel.name(), || {
+            self.launch(kernel, cfg.clone())
+        }) {
+            Ok(stats) => Ok((stats, None)),
+            Err(cause) if cause.is_injected() => {
+                self.restore_checkpoint(kernel.name());
+                Ok((self.launch_unchecked(kernel, cfg.clone())?, Some(cause)))
+            }
+            Err(e) => Err(e),
+        }
+    }
+
     /// A watchdog timeout kills the kernel mid-run: checkpoint the
     /// kernel's write-set, execute (and commit) a deterministic prefix of
     /// the grid's blocks, and hand back the timeout error. The committed

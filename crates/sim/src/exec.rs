@@ -34,7 +34,7 @@
 //! its destructors, and the launch panics with a message naming the block
 //! and the waiting lanes.
 
-use crate::counters::{CostCounters, KernelStats, StatsSnapshot};
+use crate::counters::{CostCounters, StatsSnapshot};
 use crate::dim::LaunchConfig;
 use crate::fiber::{Body, Fiber};
 use crate::memtrace::LaunchMemTrace;
@@ -171,21 +171,22 @@ fn run_bounded(
         san,
         mem,
         num_blocks,
-        stats: KernelStats::new(),
         next_block: AtomicUsize::new(0),
         poisoned: AtomicBool::new(false),
     };
     let workers = workers.clamp(1, num_blocks.max(1));
-    let payload = std::thread::scope(|s| {
+    let (stats, payload) = std::thread::scope(|s| {
         let others: Vec<_> = (1..workers).map(|_| s.spawn(|| launch.worker())).collect();
-        let mut payload = launch.worker();
+        let (mut stats, mut payload) = launch.worker();
         // Join every worker so a simulated-program panic surfaces with its
-        // original message instead of "a scoped thread panicked".
+        // original message instead of "a scoped thread panicked". Integer
+        // sums commute, so the stats are the same at any worker count.
         for h in others {
-            let failed = h.join().unwrap_or_else(Some);
+            let (part, failed) = h.join().unwrap_or_else(|p| (StatsSnapshot::default(), Some(p)));
+            stats = stats.merged(&part);
             payload = payload.or(failed);
         }
-        payload
+        (stats, payload)
     });
     // Deterministic merges happen even when the launch panicked, so a
     // failing kernel still leaves canonically ordered partial evidence.
@@ -198,7 +199,7 @@ fn run_bounded(
     if let Some(p) = payload {
         std::panic::resume_unwind(p);
     }
-    launch.stats.snapshot()
+    stats
 }
 
 /// Shared-memory tooling configuration for a launch: an attached sanitizer
@@ -237,7 +238,6 @@ struct Launch<'a> {
     san: Option<&'a LaunchSan>,
     mem: Option<&'a LaunchMemTrace>,
     num_blocks: usize,
-    stats: KernelStats,
     next_block: AtomicUsize,
     /// Sticky poison: once any lane panicked, no worker claims another
     /// block, so sanitizer and memtrace state never include post-failure
@@ -247,23 +247,29 @@ struct Launch<'a> {
 
 impl Launch<'_> {
     /// Claim and run blocks until none are left or a lane panicked;
-    /// returns the first panic of this worker's blocks.
-    fn worker(&self) -> Option<PanicPayload> {
+    /// returns the sum of the blocks this worker committed and its first
+    /// panic.
+    fn worker(&self) -> (StatsSnapshot, Option<PanicPayload>) {
         let fibered = self.kernel.flags.needs_fibers() && self.cfg.threads_per_block() > 1;
         // Fibers are reused across the worker's blocks.
         let mut fibers = Vec::new();
+        let mut stats = StatsSnapshot::default();
         loop {
             if self.poisoned.load(Ordering::Acquire) {
-                return None;
+                return (stats, None);
             }
             let b = self.next_block.fetch_add(1, Ordering::Relaxed);
             if b >= self.num_blocks {
-                return None;
+                return (stats, None);
             }
-            let failed = if fibered { self.run_fibers(b, &mut fibers) } else { self.run_lanes(b) };
+            let failed = if fibered {
+                self.run_fibers(b, &mut fibers, &mut stats)
+            } else {
+                self.run_lanes(b, &mut stats)
+            };
             if failed.is_some() {
                 self.poisoned.store(true, Ordering::Release);
-                return failed;
+                return (stats, failed);
             }
         }
     }
@@ -293,7 +299,7 @@ impl Launch<'_> {
 
     /// A barrier-free block: lanes run one after another; the first lane
     /// panic stops the block.
-    fn run_lanes(&self, b: usize) -> Option<PanicPayload> {
+    fn run_lanes(&self, b: usize, stats: &mut StatsSnapshot) -> Option<PanicPayload> {
         let tpb = self.cfg.threads_per_block();
         let shared = block_shared(self.cfg, self.san);
         let block = self.cfg.grid.delinear(b);
@@ -312,13 +318,18 @@ impl Launch<'_> {
             }
         }
         stage_block_scan(self.san, self.cfg, block, b, &shared, None);
-        self.commit(failed, &counters)
+        self.commit(failed, &counters, stats)
     }
 
     /// A synchronising block: every lane a fiber on this thread. A lane
     /// panic retires that lane; the others run to completion and the
     /// block's first panic, in round-robin order, fails it.
-    fn run_fibers(&self, b: usize, fibers: &mut Vec<Fiber>) -> Option<PanicPayload> {
+    fn run_fibers(
+        &self,
+        b: usize,
+        fibers: &mut Vec<Fiber>,
+        stats: &mut StatsSnapshot,
+    ) -> Option<PanicPayload> {
         let tpb = self.cfg.threads_per_block();
         if fibers.len() < tpb {
             fibers.resize_with(tpb, Fiber::new);
@@ -349,7 +360,7 @@ impl Launch<'_> {
         *fibers = lanes.into_fibers();
         stage_block_scan(self.san, self.cfg, block, b, &shared, Some(&barrier_counts));
         let failed = failed.take().or_else(|| stuck.map(|s| self.deadlock(block, &s)));
-        self.commit(failed, &counters.into_inner())
+        self.commit(failed, &counters.into_inner(), stats)
     }
 
     /// The failure of a block none of whose live lanes could proceed,
@@ -369,15 +380,16 @@ impl Launch<'_> {
         std::panic::catch_unwind::<_, ()>(|| panic!("{msg}")).expect_err("panic! unwinds")
     }
 
-    /// Fold a finished block into the launch stats, unless it failed.
+    /// Fold a finished block into the worker's stats, unless it failed.
     fn commit(
         &self,
         failed: Option<PanicPayload>,
         counters: &CostCounters,
+        stats: &mut StatsSnapshot,
     ) -> Option<PanicPayload> {
         if failed.is_none() {
-            self.stats.absorb_block(counters, self.cfg.threads_per_block() as u64);
-            self.stats.block_done();
+            let block = StatsSnapshot::from_block(counters, self.cfg.threads_per_block() as u64);
+            *stats = stats.merged(&block);
         }
         failed
     }

@@ -80,7 +80,7 @@ mod warp;
 pub mod prelude {
     pub use crate::constant::CBuf;
     pub use crate::context::RunContext;
-    pub use crate::counters::{CostCounters, KernelStats};
+    pub use crate::counters::CostCounters;
     pub use crate::device::{Device, DeviceProfile, Vendor};
     pub use crate::dim::{Dim3, LaunchConfig};
     pub use crate::error::SimError;

@@ -704,9 +704,9 @@ struct StagedDiagLog {
 /// Per-launch sanitizer context handed to the executor: the session, the
 /// kernel's name for diagnostics, the staged per-lane diagnostic buffers,
 /// and the cross-block global-race fold. Nothing reaches the shared
-/// [`SanState`] until [`LaunchSan::finish`] merges everything in canonical
-/// order, so the session's findings are bit-identical run to run no matter
-/// how the OS schedules the blocks.
+/// [`SanState`] until the launch finishes and the staged state merges in
+/// canonical order, so the session's findings are bit-identical run to
+/// run no matter how the OS schedules the blocks.
 pub struct LaunchSan {
     pub(crate) state: Arc<SanState>,
     pub(crate) kernel: String,

@@ -30,7 +30,7 @@ fn stage(
     lo: usize,
     hi: usize,
     f: impl Fn(f32) -> f32 + Send + Sync + 'static,
-) -> ompx::bare::PreparedBare {
+) -> ompx_hostrt::target::PreparedTarget {
     let teams = ((hi - lo) as u32).div_ceil(BSIZE);
     BareTarget::new(omp, name).num_teams([teams]).thread_limit([BSIZE]).prepare({
         let buf = buf.clone();

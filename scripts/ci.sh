@@ -22,6 +22,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> cargo doc (rustdoc warnings, dangling intra-doc links included, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> sanitize smoke run (all tools, stencil omp, test scale)"
 cargo run --release -q -p ompx-bench --bin sanitize -- \
     --tool all --app stencil --version omp --test-scale

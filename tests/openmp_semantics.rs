@@ -1,6 +1,7 @@
 //! Integration tests of OpenMP semantics across crate boundaries, plus
 //! property-based tests (proptest) on the invariants the runtime relies on.
 
+use ompx_devicert::mode::ExecMode;
 use ompx_hostrt::{DepKey, InteropObj, OpenMp, QuirkSet};
 use ompx_sim::prelude::*;
 use proptest::prelude::*;
@@ -181,6 +182,127 @@ fn allocators_and_constant_memory_through_kernels() {
         })
         .unwrap();
     assert_eq!(out.to_vec(), vec![2.0, 4.0, 8.0, 16.0, 2.0, 4.0, 8.0, 16.0]);
+}
+
+/// The three launch front ends: a native `launch_cfg`, an `ompx_bare`
+/// region and a `target teams distribute parallel for` region.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FrontEnd {
+    Native,
+    Bare,
+    Target,
+}
+
+/// What one front end left behind after two launches of the same kernel.
+struct Recovery {
+    out: Vec<u32>,
+    /// Each launch's reported plan mode (OpenMP regions only).
+    modes: Vec<ExecMode>,
+    faults: FaultSnapshot,
+    spans: Vec<Span>,
+}
+
+/// Launch a non-idempotent kernel twice over a 16-block grid under `plan`.
+/// Every launch reads what the previous one wrote, so a watchdog's partial
+/// block prefix left in place would change the final bits.
+fn launch_twice(front: FrontEnd, plan: FaultPlan) -> Recovery {
+    use ompx_klang::runtime::NativeCtx;
+    use ompx_klang::toolchain::Toolchain;
+    const N: usize = 64;
+    let faults = FaultState::new(plan);
+    let log = SpanLog::new();
+    let device = RunContext {
+        faults: Some(Arc::clone(&faults)),
+        span_log: Some(Arc::clone(&log)),
+        ..Default::default()
+    }
+    .scope(|| Device::new(DeviceProfile::test_small()));
+    let out = device.alloc_from(&(0..N as u32).collect::<Vec<_>>());
+    let step = |tc: &mut ThreadCtx<'_>, out: &DBuf<u32>, i: usize| {
+        let v = tc.read(out, i);
+        tc.write(out, i, v.wrapping_mul(3).wrapping_add(i as u32 + 1));
+    };
+    let native = NativeCtx::new(device.clone(), Toolchain::Clang);
+    let omp = ompx::runtime_on(device.clone());
+    let mut modes = Vec::new();
+    for _ in 0..2 {
+        let out = out.clone();
+        match front {
+            FrontEnd::Native => {
+                let kernel = Kernel::new("parity", move |tc| {
+                    let i = tc.global_thread_id_x();
+                    if i < N {
+                        step(tc, &out, i);
+                    }
+                });
+                native.launch_cfg(&kernel, LaunchConfig::new(16u32, 4u32)).unwrap();
+            }
+            FrontEnd::Bare => {
+                let r = ompx::BareTarget::new(&omp, "parity")
+                    .num_teams([16u32])
+                    .thread_limit([4u32])
+                    .launch(move |tc| {
+                        let i = tc.global_thread_id_x();
+                        if i < N {
+                            step(tc, &out, i);
+                        }
+                    })
+                    .unwrap();
+                modes.push(r.plan.mode);
+            }
+            FrontEnd::Target => {
+                let r = omp
+                    .target("parity")
+                    .num_teams(16)
+                    .thread_limit(4)
+                    .run_distribute_parallel_for(N, move |tc, i, _s| step(tc, &out, i))
+                    .unwrap();
+                modes.push(r.plan.mode);
+            }
+        }
+    }
+    Recovery { out: out.to_vec(), modes, faults: faults.snapshot(), spans: log.spans() }
+}
+
+/// An injected launch fault the retries cannot clear is recovered the same
+/// way by every front end: the device's pre-launch state is restored and
+/// the kernel re-executes, so the results keep the fault-free bits. OpenMP
+/// regions report a host fallback; the native runtime reports a degraded
+/// launch.
+#[test]
+fn every_front_end_recovers_launch_faults_bit_identically() {
+    for front in [FrontEnd::Native, FrontEnd::Bare, FrontEnd::Target] {
+        let clean = launch_twice(front, FaultPlan::none());
+        let device_mode = match front {
+            FrontEnd::Bare => vec![ExecMode::Bare; 2],
+            FrontEnd::Target => vec![ExecMode::Spmd; 2],
+            FrontEnd::Native => vec![],
+        };
+        assert_eq!(clean.modes, device_mode, "{front:?}");
+        for kind in [FaultKind::DeviceLost, FaultKind::Watchdog] {
+            let plan = FaultPlan::none().with_injection(FaultSite::Launch, 0, kind);
+            let r = launch_twice(front, plan);
+            let what = format!("{front:?} under {kind:?}");
+            assert_eq!(r.out, clean.out, "{what}: results must keep the fault-free bits");
+            let prefix = if front == FrontEnd::Native {
+                assert!(r.faults.fallbacks.is_empty(), "{what}: {:?}", r.faults.fallbacks);
+                assert_eq!(r.faults.degraded.len(), 1, "{what}: {:?}", r.faults.degraded);
+                assert!(r.faults.degraded[0].starts_with("launch parity: "), "{what}");
+                "degraded parity ("
+            } else {
+                assert_eq!(r.faults.fallbacks, vec!["parity".to_string()], "{what}");
+                assert!(r.faults.degraded.is_empty(), "{what}: {:?}", r.faults.degraded);
+                let mut modes = device_mode.clone();
+                modes[0] = ExecMode::Host;
+                assert_eq!(r.modes, modes, "{what}: only the faulted launch runs on the host");
+                "fallback parity ("
+            };
+            let span = r.spans.iter().find(|s| s.name.starts_with(prefix));
+            let span = span.unwrap_or_else(|| panic!("{what}: no `{prefix}…` span"));
+            assert_eq!(span.cat, SpanCategory::Fallback, "{what}");
+            assert!(span.dur_s > 0.0, "{what}: the recovery span must have a duration");
+        }
+    }
 }
 
 proptest! {
